@@ -133,7 +133,7 @@ def _cmd_zigzag(args) -> int:
             d = zigzag.zigzag_distance(g, args.src, args.dst)
             base["distance"] = d.to_json()
         else:
-            base["matrix"] = zigzag.distance_matrix(g, jobs=args.jobs).to_json()
+            base["matrix"] = zigzag.distance_matrix(g).to_json()
         return _emit(args, base, 0)
     if args.zigzag_cmd == "embeddable":
         ok, witness = zigzag.oriented_embeddable(g)
@@ -363,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--seed", type=int, default=0,
                      help="seed for randomized searches (all current searches "
                           "are deterministic; accepted for reproducibility)")
-    top.add_argument("--jobs", type=int, default=1,
-                     help="worker count for parallelizable computations")
     sub = top.add_subparsers(dest="cmd", required=True)
 
     zz = sub.add_parser("zigzag", help="zigzag distances on reflexive digraphs")

@@ -1,12 +1,13 @@
 """Reflexive digraphs as generalized metric spaces under the zigzag distance.
 
 The distance from x to y is the upward-closed set of +/- words coding the
-zigzags that map homomorphically into the graph from x to y; it is computed
-by reading the graph as an acceptor and extracting the minimal antichain.
+zigzags that map homomorphically into the graph from x to y.  A single pair
+is computed by reading the graph as an acceptor and extracting the minimal
+antichain; the full matrix is the closure of the one-step distances under
+the triangle inequality, a Floyd-Warshall pass in the quantale.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -111,19 +112,45 @@ class DistanceMatrix:
                 "matrix": [[e.to_json() for e in row] for row in self.entries]}
 
 
-def distance_matrix(g: ReflexiveDigraph, jobs: int = 1) -> DistanceMatrix:
-    pairs = [(x, y) for x in g.vertices for y in g.vertices]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            flat = list(pool.map(lambda p: zigzag_distance(g, *p), pairs))
-    else:
-        flat = [zigzag_distance(g, x, y) for x, y in pairs]
+def distance_matrix(g: ReflexiveDigraph) -> DistanceMatrix:
+    """All zigzag distances, by Floyd-Warshall over final segments.
+
+    Every zigzag from x to y is a sequence of one-step moves, so d(x,y) is
+    the meet over paths of the (+) of their one-step values.  No Kleene star
+    is needed at a pivot k: d(k,k) is the unit 0, and a detour through a
+    cycle only lengthens the words of a path that skips it.
+    """
     n = len(g.vertices)
-    rows = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
-    # involution symmetry is asserted on the computed entries, not derived
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    empty = FinalSegment.empty(PLUS_MINUS)
+    plus = FinalSegment.of(PLUS_MINUS, ["+"])
+    minus = FinalSegment.of(PLUS_MINUS, ["-"])
+    d = [[empty] * n for _ in range(n)]
+    for i in range(n):
+        d[i][i] = FinalSegment.zero(PLUS_MINUS)
+    for a, b in g.edges:
+        if a != b:
+            i, j = pos[a], pos[b]
+            d[i][j] = d[i][j].meet(plus)
+            d[j][i] = d[j][i].meet(minus)
+    for k in range(n):
+        row_k = d[k]
+        for i in range(n):
+            d_ik = d[i][k]
+            if i == k or d_ik.is_empty_set():
+                continue
+            row_i = d[i]
+            for j in range(n):
+                # j == i is skipped: the diagonal already holds the least 0
+                if j == k or j == i or row_k[j].is_empty_set():
+                    continue
+                row_i[j] = row_i[j].meet(d_ik.oplus(row_k[j]))
+    rows = tuple(tuple(row) for row in d)
+    # involution symmetry is checked on the computed entries, not derived
     for i in range(n):
         for j in range(i + 1, n):
-            assert rows[j][i].involute() == rows[i][j], "asymmetric entries"
+            if rows[j][i].involute() != rows[i][j]:
+                raise AssertionError("asymmetric distance entries: engine bug")
     return DistanceMatrix(g.vertices, rows)
 
 
@@ -193,20 +220,34 @@ def fence_distance(g: ReflexiveDigraph, x: str, y: str
     """
     if not _is_poset(g):
         raise ValueError("fence distance needs a reflexive poset digraph")
+    g._index(x)
+    g._index(y)
     if x == y:
-        g._index(x)
         return 0, 0
-    aut = zigzag_automaton(g, x, y)
+    step: dict[str, dict[str, list[str]]] = {
+        a: {v: [] for v in g.vertices} for a in "+-"}
+    for a, b in g.edges:
+        step["+"][a].append(b)
+        step["-"][b].append(a)
+    flip = {"+": "-", "-": "+"}
 
     def shortest(first: str) -> Optional[int]:
-        # alternating membership is monotone in length, and any accepted
-        # alternating word pumps down below 2|V| states in the product
-        limit = 2 * len(g.vertices) + 2
-        for n in range(1, limit + 1):
-            letters = tuple(first if i % 2 == 0 else
-                            ("-" if first == "+" else "+") for i in range(n))
-            if automata.accepts(aut, Word(PLUS_MINUS, letters)):
-                return n
+        # BFS over (vertex, next letter): the word read so far alternates
+        seen = {(x, first)}
+        frontier = [(x, first)]
+        length = 0
+        while frontier:
+            length += 1
+            nxt = []
+            for v, letter in frontier:
+                for w in step[letter][v]:
+                    if w == y:
+                        return length
+                    state = (w, flip[letter])
+                    if state not in seen:
+                        seen.add(state)
+                        nxt.append(state)
+            frontier = nxt
         return None
 
     return shortest("+"), shortest("-")

@@ -1,14 +1,17 @@
+import json
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+from gmspace import automata
 from gmspace.segments import FinalSegment
-from gmspace.words import PLUS_MINUS, all_words
+from gmspace.words import PLUS_MINUS, Word, all_words
 from gmspace.zigzag import (DistanceMatrix, ReflexiveDigraph, distance_matrix,
                             fence_distance, graph_from_matrix, is_graph_hom,
                             is_nonexpansive, oriented_embeddable,
-                            satisfies_graph_condition, zigzag_distance)
+                            satisfies_graph_condition, zigzag_automaton,
+                            zigzag_distance)
 
 from conftest import seg
 
@@ -80,8 +83,65 @@ def test_distance_matrix_examples():
     disc = distance_matrix(ReflexiveDigraph.of(["a", "b"], []))
     assert disc.entry("a", "b") == FinalSegment.empty(A)
     assert m.check_axioms() == []
-    par = distance_matrix(chain2(), jobs=2)
-    assert par.entries == m.entries
+
+
+def pairwise_matrix(g):
+    """Oracle: one acceptor pipeline per pair of vertices."""
+    return DistanceMatrix(g.vertices, tuple(
+        tuple(zigzag_distance(g, x, y) for y in g.vertices)
+        for x in g.vertices))
+
+
+def assert_matches_pairwise(g):
+    got, want = distance_matrix(g), pairwise_matrix(g)
+    assert got.entries == want.entries
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+def test_distance_matrix_matches_pairwise_on_all_small_digraphs():
+    for n in (1, 2, 3):
+        vs = [f"v{i}" for i in range(n)]
+        arcs = [(a, b) for a in vs for b in vs if a != b]
+        for mask in range(2 ** len(arcs)):
+            edges = [e for bit, e in enumerate(arcs) if mask >> bit & 1]
+            assert_matches_pairwise(ReflexiveDigraph.of(vs, edges))
+
+
+def test_distance_matrix_matches_pairwise_on_random_digraphs():
+    rng = random.Random(21)
+    for density in (0.1, 0.3, 0.5, 0.8):
+        for _ in range(75):
+            n = rng.randint(1, 7)
+            vs = [f"v{i}" for i in range(n)]
+            edges = [(a, b) for a in vs for b in vs
+                     if a != b and rng.random() < density]
+            assert_matches_pairwise(ReflexiveDigraph.of(vs, edges))
+
+
+def test_distance_matrix_on_oriented_paths_is_principal():
+    rng = random.Random(22)
+    for _ in range(20):
+        n = rng.randint(2, 7)
+        vs = [f"p{i}" for i in range(n)]
+        forward = [rng.random() < 0.5 for _ in range(n - 1)]
+        edges = [(vs[i], vs[i + 1]) if f else (vs[i + 1], vs[i])
+                 for i, f in enumerate(forward)]
+        g = ReflexiveDigraph.of(vs, edges)
+        m = distance_matrix(g)
+        for i, j in product(range(n), repeat=2):
+            if i <= j:
+                letters = ["+" if f else "-" for f in forward[i:j]]
+            else:
+                letters = ["-" if f else "+" for f in forward[j:i]][::-1]
+            assert m.entries[i][j] == FinalSegment(A, (Word(A, tuple(letters)),))
+        assert m.entries == pairwise_matrix(g).entries
+
+
+def test_distance_matrix_asymmetry_is_an_engine_bug(monkeypatch):
+    monkeypatch.setattr(FinalSegment, "involute",
+                        lambda self: FinalSegment.empty(self.alphabet))
+    with pytest.raises(AssertionError, match="engine bug"):
+        distance_matrix(chain2())
 
 
 def test_zigzag_agrees_with_brute_force_oracle():
@@ -160,12 +220,56 @@ def test_fence_examples():
     assert fence_distance(anti, "a", "b") == (None, None)
     with pytest.raises(ValueError):
         fence_distance(cycle3(), "a", "b")  # not a poset
+    with pytest.raises(ValueError):
+        fence_distance(g, "a", "zz")
 
 
 def test_fence_on_longer_poset():
     # fence x0 < x1 > x2: from x0 to x2 the up-fence has length 2
     g = ReflexiveDigraph.of(["x0", "x1", "x2"], [("x0", "x1"), ("x2", "x1")])
     assert fence_distance(g, "x0", "x2") == (2, 3)
+
+
+def fence_by_acceptor(g, x, y):
+    """Oracle: membership of alternating words, up to the pumping bound of
+    the graph times the two-state alternation automaton."""
+    if x == y:
+        return 0, 0
+    aut = zigzag_automaton(g, x, y)
+    out = []
+    for first, second in ("+-", "-+"):
+        lengths = range(1, 2 * len(g.vertices) + 3)
+        out.append(next((n for n in lengths if automata.accepts(
+            aut, Word(A, tuple(second if i % 2 else first for i in range(n))))),
+            None))
+    return tuple(out)
+
+
+def random_poset(rng, n):
+    vs = [f"x{i}" for i in range(n)]
+    rng.shuffle(vs)
+    below = {(a, b) for a, b in combinations(vs, 2) if rng.random() < 0.3}
+    for k in vs:  # Warshall's transitive closure
+        below |= {(a, b) for a in vs for b in vs
+                  if (a, k) in below and (k, b) in below}
+    return ReflexiveDigraph.of(vs, below)
+
+
+def random_fence(rng, n):
+    vs = [f"f{i}" for i in range(n)]
+    up = rng.random() < 0.5
+    edges = [(vs[i], vs[i + 1]) if (i % 2 == 0) == up else (vs[i + 1], vs[i])
+             for i in range(n - 1)]
+    return ReflexiveDigraph.of(vs, edges)
+
+
+def test_fence_bfs_matches_acceptor():
+    rng = random.Random(23)
+    for trial in range(120):
+        n = rng.randint(1, 7)
+        g = random_poset(rng, n) if trial % 2 else random_fence(rng, n)
+        for x, y in product(g.vertices, repeat=2):
+            assert fence_distance(g, x, y) == fence_by_acceptor(g, x, y)
 
 
 def test_embeddable_examples():
