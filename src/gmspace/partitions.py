@@ -29,12 +29,11 @@ class Partition:
     _index: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
-        seen = [x for b in self.blocks for x in b]
-        if sorted(seen, key=self.carrier.index) != sorted(
-                self.carrier, key=self.carrier.index) or len(seen) != len(self.carrier):
+        index = {x: i for i, b in enumerate(self.blocks) for x in b}
+        if not (len(index) == len(self.carrier) == sum(map(len, self.blocks))
+                and index.keys() == set(self.carrier) and all(self.blocks)):
             raise ValueError("blocks must partition the carrier exactly")
-        object.__setattr__(self, "_index",
-                           {x: i for i, b in enumerate(self.blocks) for x in b})
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def from_blocks(cls, carrier: Sequence, blocks: Iterable[Iterable]) -> Partition:
@@ -135,6 +134,8 @@ class EquivSystem:
     relations: tuple[Partition, ...]
 
     def __post_init__(self):
+        if len(set(self.carrier)) != len(self.carrier):
+            raise ValueError("carrier has repeated elements")
         for r in self.relations:
             if r.carrier != self.carrier:
                 raise ValueError("system relations must share the carrier")
@@ -337,9 +338,31 @@ def residuated_distance(elements: Sequence, leq_pairs: Iterable[tuple]) -> dict:
 
 
 def orthogonal(rho: Partition, tau: Partition) -> bool:
-    """Strong orthogonality: meet is equality and join is the full relation."""
-    return rho.meet(tau) == Partition.discrete(rho.carrier) and \
-        rho.join(tau) == Partition.full(rho.carrier)
+    """Strong orthogonality: meet is equality and join is the full relation.
+
+    Read off the block indices: the meet is equality when no two points share
+    both their rho-block and their tau-block, and the join is full when the
+    graph linking each point's rho-block to its tau-block is connected."""
+    rho._check(tau)
+    edges = {(rho._index[x], tau._index[x]) for x in rho.carrier}
+    if len(edges) != len(rho.carrier):
+        return False
+    offset = len(rho.blocks)
+    parent = list(range(offset + len(tau.blocks)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    components = len(parent)
+    for i, j in edges:
+        a, b = find(i), find(offset + j)
+        if a != b:
+            parent[a] = b
+            components -= 1
+    return components <= 1
 
 
 def weakly_orthogonal(rho: Partition, tau: Partition) -> bool:
@@ -378,8 +401,8 @@ def orthogonal_family_search(n: int, block_size: Optional[int] = None,
     carrier = tuple(range(n))
     cands = []
     for p in all_partitions(carrier):
-        if p == Partition.discrete(carrier):
-            continue
+        if len(p.blocks) == n:
+            continue  # the equality partition
         if block_size is not None and any(len(b) != block_size for b in p.blocks):
             continue
         cands.append(p)

@@ -129,65 +129,118 @@ def _is_witness(carrier, f) -> bool:
 def is_semirigid(system: EquivSystem, guard: int = 12
                  ) -> tuple[bool, Optional[dict]]:
     """Backtracking search for a preserving map that is neither the identity
-    nor constant; most-constrained-first variable order with forward
-    checking, branching on a forced non-fixed point first."""
+    nor constant.
+
+    One search per seed f(x0) = v0 with v0 != x0, in carrier order: every
+    non-identity map moves some point, and constants are filtered at the
+    leaves.  Below a seed the most constrained variable goes first, and
+    forward checking narrows the other domains by the new pair alone, since
+    every domain already agrees with the earlier pairs.  An exhausted seed
+    proves that no witness has f(x0) = v0, so later seeds skip the value v0
+    for x0 and treat a domain holding only such values as dead.
+
+    The witness is the first one found, so it depends on the seed order, the
+    variable order and the iteration order of the domains, which are sets of
+    carrier points and follow the points' hashes.  Relabelling the carrier or
+    merging the seeds into one search would change it.  The pruning skips
+    only subtrees without a witness and leaves every domain as it would be
+    without it, so the witness stays the same.  A domain is held as the
+    carrier indices of such a set, in its iteration order; the set of points
+    itself is built once per distinct sequence of surviving points."""
     carrier = system.carrier
     n = len(carrier)
     if n > guard:
         raise SizeGuard(f"{n} points exceeds the backtracking guard {guard}")
     if n <= 1:
         return True, None
-    rel_ids = [{x: rho.block_id(x) for x in carrier} for rho in system.relations]
+    index = {x: i for i, x in enumerate(carrier)}
+    allowed = _allowed_by(system, index)
+    orders: dict = {}
 
-    def consistent(x, v, assign):
-        # preservation: x ~ y forces f(x) ~ f(y), per relation
-        for ids in rel_ids:
-            ix, iv = ids[x], ids[v]
-            for y, w in assign.items():
-                if ids[y] == ix and ids[w] != iv:
-                    return False
-        return True
+    def rebuilt(kept: tuple) -> tuple:
+        # iteration order of the set of points inserted in the order of kept
+        order = orders.get(kept)
+        if order is None:
+            order = orders[kept] = tuple(index[p] for p in
+                                         {carrier[i] for i in kept})
+        return order
 
-    def search(assign, domains) -> Optional[dict]:
+    exhausted = [set() for _ in carrier]
+
+    def search(assign, domains, seed_limits) -> Optional[dict]:
         if len(assign) == n:
-            return dict(assign) if _is_witness(carrier, assign) else None
-        x = min((y for y in carrier if y not in assign),
+            return dict(assign) if _is_witness(range(n), assign) else None
+        x = min((y for y in range(n) if y not in assign),
                 key=lambda y: len(domains[y]))
-        for v in list(domains[x]):
-            if not consistent(x, v, assign):
+        seed_ok = seed_limits.get(x)
+        for v in domains[x]:
+            if v in exhausted[x] or (seed_ok is not None and v not in seed_ok):
                 continue
             assign[x] = v
+            limits = allowed[x][v]
             pruned = {}
             dead = False
-            for y in carrier:
+            for y in range(n):
                 if y in assign:
                     continue
-                keep = {w for w in domains[y] if consistent(y, w, assign)}
-                pruned[y] = domains[y]
+                ok = limits.get(y)
+                if y in seed_limits:
+                    ok = seed_limits[y] if ok is None else ok & seed_limits[y]
+                old = domains[y]
+                keep = rebuilt(old if ok is None else
+                               tuple(w for w in old if w in ok))
+                pruned[y] = old
                 domains[y] = keep
-                if not keep:
+                if exhausted[y].issuperset(keep):
                     dead = True
                     break
             if not dead:
-                found = search(assign, domains)
+                found = search(assign, domains, {})
                 if found:
                     return found
             domains.update(pruned)
             del assign[x]
         return None
 
-    # seed with f(x0) != x0: every non-identity map moves some point, and
-    # constants are filtered at the leaves
-    for x0 in carrier:
-        for v0 in carrier:
+    everything = rebuilt(tuple(range(n)))
+    for x0 in range(n):
+        for v0 in range(n):
             if v0 == x0:
                 continue
-            assign = {x0: v0}
-            domains = {y: set(carrier) for y in carrier if y != x0}
-            witness = search(assign, domains)
-            if witness:
+            # the seed pair narrows the root domains only as each is branched
+            # on or rebuilt, so that the root's variable order is unchanged
+            found = search({x0: v0}, dict.fromkeys(range(n), everything),
+                           allowed[x0][v0])
+            if found:
+                witness = {carrier[i]: carrier[v] for i, v in found.items()}
+                if not (system.preserves(witness)
+                        and _is_witness(carrier, witness)):
+                    raise AssertionError(
+                        "is_semirigid found a map that is not a witness: "
+                        "engine bug")
                 return False, witness
+            exhausted[x0].add(v0)
     return True, None
+
+
+def _allowed_by(system: EquivSystem, index: dict) -> list[list[dict]]:
+    """allowed[x][v] maps each y sharing a block with x to the indices that
+    f(y) may take once f(x) = v: the meet, over the relations relating x and
+    y, of v's blocks."""
+    blocks = [[frozenset(index[y] for y in rho.block_of(x))
+               for rho in system.relations] for x in system.carrier]
+    allowed = []
+    for x, x_blocks in enumerate(blocks):
+        row = []
+        for v_blocks in blocks:
+            limits: dict = {}
+            for block, image in zip(x_blocks, v_blocks):
+                for y in block:
+                    if y != x:
+                        limits[y] = limits[y] & image if y in limits else image
+            row.append(limits)
+        allowed.append(row)
+    return allowed
 
 
 # --- plane geometry -------------------------------------------------------------

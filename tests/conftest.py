@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -30,3 +31,22 @@ def naive_upset_members(gens, max_len: int):
     """Oracle: membership by direct subword scan over all words."""
     return [v for v in all_words(PLUS_MINUS, max_len)
             if any(g <= v for g in gens)]
+
+
+class Budget:
+    """Times a block, prints a PASS/FAIL line and fails past the budget."""
+
+    def __init__(self, name, seconds):
+        self.name = name
+        self.seconds = seconds
+
+    def __enter__(self):
+        self.start = time.monotonic()
+        return self
+
+    def __exit__(self, exc_type, *rest):
+        elapsed = time.monotonic() - self.start
+        verdict = "PASS" if exc_type is None else "FAIL"
+        print(f"{self.name}: {verdict} in {elapsed:.1f}s "
+              f"(budget {self.seconds}s)")
+        assert elapsed < self.seconds, f"{self.name} exceeded its budget"

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion."""
 import itertools
 import random
-import time
 from fractions import Fraction
 
 from gmspace import automata, factorization, semirigid, zcong
@@ -20,26 +19,9 @@ from gmspace.words import PLUS_MINUS, Word, all_words, is_antichain, \
 from gmspace.zigzag import (ReflexiveDigraph, distance_matrix,
                             oriented_embeddable, satisfies_graph_condition)
 
-from conftest import w, naive_upset_members, random_segment
+from conftest import Budget, w, naive_upset_members, random_segment
 
 A = PLUS_MINUS
-
-
-class Budget:
-    def __init__(self, name, seconds):
-        self.name = name
-        self.seconds = seconds
-
-    def __enter__(self):
-        self.start = time.monotonic()
-        return self
-
-    def __exit__(self, exc_type, *rest):
-        elapsed = time.monotonic() - self.start
-        verdict = "PASS" if exc_type is None else "FAIL"
-        print(f"{self.name}: {verdict} in {elapsed:.1f}s "
-              f"(budget {self.seconds}s)")
-        assert elapsed < self.seconds, f"{self.name} exceeded its budget"
 
 
 def random_digraph(rng, max_n=4):

@@ -274,6 +274,53 @@ def test_orthogonal_family_members_pairwise():
             assert orthogonal(p, q)
 
 
+def definitional_orthogonal(rho, tau):
+    return rho.meet(tau) == Partition.discrete(rho.carrier) and \
+        rho.join(tau) == Partition.full(rho.carrier)
+
+
+def test_orthogonal_matches_meet_join_definition():
+    E5 = tuple(range(5))
+    parts = list(all_partitions(E5))
+    assert len(parts) == 52
+    for rho in parts:
+        for tau in parts:
+            assert orthogonal(rho, tau) == definitional_orthogonal(rho, tau), \
+                (rho, tau)
+    rng = random.Random(29)
+    hits = 0
+    for k in range(400):
+        carrier = tuple(range(7 + k % 2))
+        rho = random_partition(rng, carrier)
+        tau = random_partition(rng, carrier)
+        expected = definitional_orthogonal(rho, tau)
+        assert orthogonal(rho, tau) == expected, (rho, tau)
+        hits += expected
+    assert hits > 0
+    with pytest.raises(ValueError):
+        orthogonal(MOD2, Partition.discrete((0, 1)))
+
+
+def test_partition_rejects_blocks_that_miss_the_carrier():
+    C3 = (0, 1, 2)
+    message = "blocks must partition the carrier exactly"
+    with pytest.raises(ValueError, match=message):  # element not in carrier
+        Partition(C3, ((0, 1), (2, 7)))
+    with pytest.raises(ValueError, match=message):  # repeated element
+        Partition(C3, ((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match=message):  # repeated within a block
+        Partition(C3, ((0, 0), (1, 2)))
+    with pytest.raises(ValueError, match=message):  # missing element
+        Partition(C3, ((0, 1),))
+    with pytest.raises(ValueError, match=message):  # substituted element
+        Partition(C3, ((0, 1), (5,)))
+    with pytest.raises(ValueError, match=message):  # empty block
+        Partition(C3, ((0, 1, 2), ()))
+    with pytest.raises(ValueError, match="repeated"):
+        EquivSystem((0, 0, 1), ())
+    assert Partition(C3, ((0, 2), (1,))).same(0, 2)
+
+
 def test_partition_json():
     assert MOD3.to_json() == [[0, 3], [1, 4], [2, 5]]
     sys6 = EquivSystem.of(Z6, [MOD2, MOD3])

@@ -1,16 +1,21 @@
 import itertools
+import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
+from gmspace import semirigid
 from gmspace.partitions import EquivSystem, Partition, all_partitions
-from gmspace.semirigid import (Triangle, band_truncation,
+from gmspace.semirigid import (Triangle, _is_witness, band_truncation,
                                has_center_of_symmetry, is_monogenic,
                                is_semirigid, is_semirigid_bruteforce,
                                parse_points, plane_system, point,
                                preserving_maps, system_isomorphism, t_n, t_n2,
                                t_n2_prime, triangles, zadori_system)
 from gmspace.spaces import SizeGuard
+
+from conftest import Budget
 
 
 def test_zadori_even_formula():
@@ -58,19 +63,26 @@ def test_not_semirigid_witness():
 
 
 def test_backtracking_matches_bruteforce():
-    import random
     rng = random.Random(51)
-    carrier = tuple(range(5))
-    pool = list(all_partitions(carrier))
-    for _ in range(40):
-        system = EquivSystem(carrier, tuple(rng.sample(pool, 3)))
-        ok_fast, wit_fast = is_semirigid(system)
-        ok_slow, _ = is_semirigid_bruteforce(system)
-        assert ok_fast == ok_slow
-        if not ok_fast:
-            assert system.preserves(wit_fast)
-            assert any(wit_fast[x] != x for x in carrier)
-            assert len(set(wit_fast.values())) > 1
+    pools = {n: list(all_partitions(tuple(range(n)))) for n in (4, 5, 6)}
+    proper = {n: [p for p in pool if 1 < len(p.blocks) < n]
+              for n, pool in pools.items()}
+    # three uniform relations on 5 points; then three or four relations,
+    # none of them equality or the full relation, on 4-6 points, the mix in
+    # which semirigid systems are least rare
+    cases = [(5, 3, pools[5])] * 40
+    cases += [(n, 4 if k % 4 else 3, proper[n])
+              for k, n in zip(range(150), itertools.cycle((4, 5, 6)))]
+    verdicts = []
+    for n, k, pool in cases:
+        system = EquivSystem(tuple(range(n)), tuple(rng.sample(pool, k)))
+        ok, witness = is_semirigid(system)
+        assert ok == is_semirigid_bruteforce(system)[0], system
+        if not ok:
+            assert system.preserves(witness)
+            assert _is_witness(system.carrier, witness)
+        verdicts.append(ok)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_guard():
@@ -191,3 +203,157 @@ def test_preserving_maps_send_triangles_to_triangles_or_points():
                 assert len(image) == 3
                 found = any(set(u.points()) == image for u in triangles(pts))
                 assert found, (t, image)
+
+
+# --- the search against a reference search --------------------------------------
+
+# Reference: the seeded search with a full consistency check against every
+# assigned pair and no pruning across seeds.  is_semirigid must return the
+# same witness with the same key order, since the CLI prints it and the
+# benchmark pins the printed reports.
+def reference_is_semirigid(system: EquivSystem, guard: int = 12
+                           ) -> tuple[bool, Optional[dict]]:
+    """Backtracking search for a preserving map that is neither the identity
+    nor constant; most-constrained-first variable order with forward
+    checking, branching on a forced non-fixed point first."""
+    carrier = system.carrier
+    n = len(carrier)
+    if n > guard:
+        raise SizeGuard(f"{n} points exceeds the backtracking guard {guard}")
+    if n <= 1:
+        return True, None
+    rel_ids = [{x: rho.block_id(x) for x in carrier} for rho in system.relations]
+
+    def consistent(x, v, assign):
+        # preservation: x ~ y forces f(x) ~ f(y), per relation
+        for ids in rel_ids:
+            ix, iv = ids[x], ids[v]
+            for y, w in assign.items():
+                if ids[y] == ix and ids[w] != iv:
+                    return False
+        return True
+
+    def search(assign, domains) -> Optional[dict]:
+        if len(assign) == n:
+            return dict(assign) if _is_witness(carrier, assign) else None
+        x = min((y for y in carrier if y not in assign),
+                key=lambda y: len(domains[y]))
+        for v in list(domains[x]):
+            if not consistent(x, v, assign):
+                continue
+            assign[x] = v
+            pruned = {}
+            dead = False
+            for y in carrier:
+                if y in assign:
+                    continue
+                keep = {w for w in domains[y] if consistent(y, w, assign)}
+                pruned[y] = domains[y]
+                domains[y] = keep
+                if not keep:
+                    dead = True
+                    break
+            if not dead:
+                found = search(assign, domains)
+                if found:
+                    return found
+            domains.update(pruned)
+            del assign[x]
+        return None
+
+    # seed with f(x0) != x0: every non-identity map moves some point, and
+    # constants are filtered at the leaves
+    for x0 in carrier:
+        for v0 in carrier:
+            if v0 == x0:
+                continue
+            assign = {x0: v0}
+            domains = {y: set(carrier) for y in carrier if y != x0}
+            witness = search(assign, domains)
+            if witness:
+                return False, witness
+    return True, None
+
+
+def assert_same_verdict(system):
+    expected = reference_is_semirigid(system)
+    got = is_semirigid(system)
+    assert got == expected, (system, got, expected)
+    if got[1] is not None:
+        assert list(got[1].items()) == list(expected[1].items())
+    return got[0]
+
+
+def random_plane_set(rng, lo=3, hi=9):
+    scale = rng.choice([1, 2, 3])
+    shift = rng.choice([Fraction(0), Fraction(1, 2)])
+    k = rng.randint(lo, hi)
+    pts = set()
+    while len(pts) < k:
+        pts.add((Fraction(rng.randint(-3, 3), scale) + shift,
+                 Fraction(rng.randint(-3, 3), scale) + shift))
+    return tuple(sorted(pts))
+
+
+def symmetric_plane_set(rng):
+    half = random_plane_set(rng, 2, 5)
+    cx, cy = Fraction(rng.randint(-2, 2), 2), Fraction(rng.randint(-2, 2), 2)
+    return tuple(sorted(set(half) | {(2 * cx - x, 2 * cy - y)
+                                     for x, y in half}))
+
+
+def random_int_system(rng):
+    carrier = tuple(range(rng.randint(2, 8)))
+    relations = []
+    for _ in range(rng.randint(1, 4)):
+        groups: dict = {}
+        for x in carrier:
+            groups.setdefault(rng.randrange(len(carrier)), []).append(x)
+        relations.append(Partition.from_blocks(carrier, groups.values()))
+    return EquivSystem(carrier, tuple(relations))
+
+
+def test_search_matches_previous_search_on_random_systems():
+    rng = random.Random(2024)
+    semirigid_count = 0
+    for k in range(1500):
+        if k % 3 == 0:
+            system = plane_system(random_plane_set(rng))
+        elif k % 3 == 1:
+            system = plane_system(symmetric_plane_set(rng))
+        else:
+            system = random_int_system(rng)
+        semirigid_count += assert_same_verdict(system)
+    assert semirigid_count > 0
+
+
+def test_search_matches_previous_search_on_zadori_systems():
+    for n in (3, 5, 6, 7, 8, 9, 10, 11, 12):
+        assert assert_same_verdict(zadori_system(n)), n
+
+
+def test_wrong_pruning_table_is_an_engine_bug(monkeypatch):
+    # a table that allows every value makes the search return a map that
+    # does not preserve the system; the final check must catch it
+    real = semirigid._allowed_by
+
+    def allow_everything(system, index):
+        return [[{} for _ in row] for row in real(system, index)]
+
+    monkeypatch.setattr(semirigid, "_allowed_by", allow_everything)
+    with pytest.raises(AssertionError, match="engine bug"):
+        is_semirigid(zadori_system(5))
+
+
+def test_plane_theorem_beyond_the_default_guard():
+    # monogenic without a centre of symmetry implies semirigid; these sets
+    # have 12-23 points, and the last one 43, past the default guard of 12
+    cases = [(t_n2_prime(n), 24) for n in (5, 6, 7, 8)]
+    cases += [(band_truncation((-k, k)), 24) for k in (3, 4, 5)]
+    cases += [(band_truncation((-10, 10)), 43)]
+    with Budget("plane theorem at 12-43 points", 60):
+        for pts, guard in cases:
+            assert is_monogenic(pts)[0], pts
+            assert not has_center_of_symmetry(pts)[0], pts
+            ok, witness = is_semirigid(plane_system(pts), guard=guard)
+            assert ok, (len(pts), witness)
