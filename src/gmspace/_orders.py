@@ -1,4 +1,4 @@
-"""Shared helpers for finite orders: bounds, residuals, clique enumeration."""
+"""Shared helpers for finite orders: bounds and clique enumeration."""
 from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, TypeVar
@@ -8,6 +8,14 @@ T = TypeVar("T")
 
 class MissingJoin(ValueError):
     """A required supremum or infimum does not exist in the finite order."""
+
+
+class NotResiduated(MissingJoin):
+    """No least residual of x by y exists; ``pair`` is (x, y)."""
+
+    def __init__(self, x, y):
+        super().__init__(f"no least residual of {x!r} by {y!r}")
+        self.pair = (x, y)
 
 
 def least_of(candidates: Iterable[T], leq: Callable[[T, T], bool]) -> Optional[T]:
@@ -40,12 +48,6 @@ def meet_of(elements: Iterable[T], subset: Iterable[T],
     if glb is None:
         raise MissingJoin(f"no greatest lower bound for {sub!r}")
     return glb
-
-
-def order_residual(elements: Iterable[T], leq: Callable[[T, T], bool],
-                   join: Callable[[T, T], T], x: T, y: T) -> Optional[T]:
-    """Least z with x <= y v z, or None when no least element exists."""
-    return least_of([z for z in elements if leq(x, join(y, z))], leq)
 
 
 def maximal_cliques(nodes: list, adjacent: Callable[[int, int], bool]):

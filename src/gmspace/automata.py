@@ -1,9 +1,10 @@
 """Finite-automata engine for upward-closed word languages.
 
 Upward-closed languages are represented by acceptors; the finite antichain
-of minimal words is extracted with the one-letter-deletion transform (plus a
-one-letter-increase transform when the alphabet carries a nontrivial letter
-order).  Higman's lemma guarantees the residual language is finite.
+of minimal words is extracted with the one-letter-insertion transform.
+Higman's lemma guarantees the residual language is finite.  Production code
+uses acceptors only for MacNeille membership (``segments.in_macneille``);
+the other routines serve the tests as oracles.
 """
 from __future__ import annotations
 
@@ -57,14 +58,6 @@ class Automaton:
             out.update(self._delta.get((p, a), ()))
         return frozenset(out)
 
-    def to_json(self) -> dict:
-        """Debug dump; not a stability-guaranteed format."""
-        return {"states": self.num_states,
-                "transitions": sorted([p, a, q] for p, a, q in self.transitions),
-                "initial": sorted(self.initial),
-                "accepting": sorted(self.accepting),
-                "deterministic": self.deterministic}
-
 
 def accepts(aut: Automaton, w: Word) -> bool:
     states = aut.initial
@@ -75,17 +68,13 @@ def accepts(aut: Automaton, w: Word) -> bool:
     return bool(states & aut.accepting)
 
 
-def empty_language(alphabet: Alphabet) -> Automaton:
-    return Automaton(alphabet, 0, frozenset(), frozenset(), frozenset())
-
-
 def upset_automaton(alphabet: Alphabet, words) -> Automaton:
     """Acceptor of the upward closure of the given words.
 
     The generator set is minimized first, so the construction is driven by a
     genuine antichain.  One track of states per generator; every state keeps
-    a self-loop on every letter, and position i advances on any letter above
-    the i-th letter of its generator.
+    a self-loop on every letter, and position i advances on the i-th letter
+    of its generator.
     """
     gens = minimize_words(words)
     trans: set[tuple[int, str, int]] = set()
@@ -99,7 +88,7 @@ def upset_automaton(alphabet: Alphabet, words) -> Automaton:
         for i in range(n + 1):
             for a in alphabet.letters:
                 trans.add((base + i, a, base + i))
-                if i < n and alphabet.letter_leq(g.letters[i], a):
+                if i < n and g.letters[i] == a:
                     trans.add((base + i, a, base + i + 1))
         base += n + 1
     return Automaton(alphabet, base, frozenset(trans), frozenset(initial),
@@ -183,18 +172,6 @@ def intersect(a: Automaton, b: Automaton) -> Automaton:
     det = a.deterministic and b.deterministic
     return Automaton(a.alphabet, len(index), frozenset(trans), initial,
                      accepting, deterministic=det and len(initial) <= 1)
-
-
-def union(a: Automaton, b: Automaton) -> Automaton:
-    """Disjoint union of the two acceptors."""
-    if a.alphabet != b.alphabet:
-        raise ValueError("alphabet mismatch")
-    off = a.num_states
-    trans = set(a.transitions)
-    trans.update((p + off, x, q + off) for p, x, q in b.transitions)
-    return Automaton(a.alphabet, off + b.num_states, frozenset(trans),
-                     a.initial | frozenset(q + off for q in b.initial),
-                     a.accepting | frozenset(q + off for q in b.accepting))
 
 
 def _reachable(aut: Automaton) -> set[int]:
@@ -305,49 +282,22 @@ def insert_one_letter(aut: Automaton) -> Automaton:
                      frozenset(q + n for q in aut.accepting))
 
 
-def bump_one_letter(aut: Automaton) -> Automaton:
-    """Acceptor of the words obtained from accepted words by strictly
-    increasing a single letter in the alphabet order.
-
-    Empty for the discrete order; needed so that minimality matches the
-    subword order over alphabets with a nontrivial letter order.
-    """
-    n = aut.num_states
-    trans = set(aut.transitions)
-    for (p, a), targets in aut._delta.items():
-        for b in aut.alphabet.letters:
-            if b != a and aut.alphabet.letter_leq(a, b):
-                for q in targets:
-                    trans.add((p, b, q + n))
-    for p, a, q in aut.transitions:
-        trans.add((p + n, a, q + n))
-    return Automaton(aut.alphabet, 2 * n, frozenset(trans), aut.initial,
-                     frozenset(q + n for q in aut.accepting))
-
-
-def _superword_transforms(aut: Automaton) -> Automaton:
-    t = insert_one_letter(aut)
-    if not aut.alphabet.has_trivial_order():
-        t = union(t, bump_one_letter(aut))
-    return t
-
-
 def is_upward_closed(aut: Automaton) -> bool:
-    """Decide L = up(L): every one-letter insertion (and letter increase,
-    for ordered alphabets) of an accepted word must stay in the language."""
-    bigger = _superword_transforms(aut)
+    """Decide L = up(L): every one-letter insertion into an accepted word
+    must stay in the language."""
+    bigger = insert_one_letter(aut)
     return is_empty(intersect(bigger, complement(determinize(aut))))
 
 
 def minimal_antichain(aut: Automaton) -> tuple[Word, ...]:
     """Antichain of minimal words of an upward-closed language.
 
-    Computed as L minus its one-letter-superword transforms; the residual is
-    finite by Higman's lemma, so a cycle in the trimmed residual acceptor can
-    only mean an engine bug and is raised as such.
+    Computed as L minus its one-letter insertions; the residual is finite by
+    Higman's lemma, so a cycle in the trimmed residual acceptor can only mean
+    an engine bug and is raised as such.
     """
     dfa = determinize(aut)
-    bigger = _superword_transforms(aut)
+    bigger = insert_one_letter(aut)
     if not is_empty(intersect(bigger, complement(dfa))):
         raise NotUpwardClosed("language is not upward-closed")
     residual = intersect(dfa, complement(determinize(bigger)))

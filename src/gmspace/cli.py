@@ -360,9 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations on generalized metric spaces over "
                     "involutive quantales")
     top.add_argument("--json", action="store_true", help="machine-readable report")
-    top.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized searches (all current searches "
-                          "are deterministic; accepted for reproducibility)")
     sub = top.add_subparsers(dest="cmd", required=True)
 
     zz = sub.add_parser("zigzag", help="zigzag distances on reflexive digraphs")

@@ -9,9 +9,7 @@ residuation, which is the unique maximal partner.
 Completeness of the prefix candidate space rests on cancellativity: every
 minimal word of g (+) h splits as a minimal-g prefix times a minimal-h
 suffix, and a generator of g used by no such split would contradict
-cancellation.  The argument is written for the discrete letter order;
-alphabets with a nontrivial letter order are accepted but their candidate
-space has no such completeness proof here.
+cancellation.
 """
 from __future__ import annotations
 

@@ -6,18 +6,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ._orders import MissingJoin, least_of
+from ._orders import MissingJoin, NotResiduated, least_of
 from .spaces import FiniteGms, MonoidTable, SizeGuard
 
 
 class PreservationViolated(ValueError):
     """A partial map fails to preserve a member of the lattice."""
-
-
-class NotResiduated(ValueError):
-    def __init__(self, x, y):
-        super().__init__(f"no least z with {x!r} <= {y!r} v z")
-        self.pair = (x, y)
 
 
 @dataclass(frozen=True)
@@ -320,20 +314,13 @@ def ultrametric_from_system(system: EquivSystem) -> tuple[FiniteGms, bool]:
 
 
 def residuated_distance(elements: Sequence, leq_pairs: Iterable[tuple]) -> dict:
-    """Distance table d(x,y) = (x\\y) v (y\\x) on a finite lattice.
+    """Distance table d(x,y) = (x\\y) v (y\\x) on a finite lattice: the
+    canonical distance of the lattice read as a monoid under join.
 
     Raises NotResiduated with the witness pair exactly when some residual is
     missing, which for a finite lattice means it is not distributive."""
     monoid = MonoidTable.from_join_semilattice(elements, leq_pairs)
-
-    def resid(x, y):
-        cands = [z for z in monoid.elements if monoid.leq(x, monoid.oplus(y, z))]
-        r = least_of(cands, monoid.leq)
-        if r is None:
-            raise NotResiduated(x, y)
-        return r
-
-    return {(x, y): monoid.join([resid(x, y), resid(y, x)])
+    return {(x, y): monoid.canonical_distance(x, y)
             for x in monoid.elements for y in monoid.elements}
 
 
@@ -363,11 +350,6 @@ def orthogonal(rho: Partition, tau: Partition) -> bool:
             parent[a] = b
             components -= 1
     return components <= 1
-
-
-def weakly_orthogonal(rho: Partition, tau: Partition) -> bool:
-    """Only the meet condition; named for the terminology clash, unused."""
-    return rho.meet(tau) == Partition.discrete(rho.carrier)
 
 
 def all_partitions(carrier: Sequence):

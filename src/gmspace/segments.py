@@ -4,6 +4,7 @@ A final segment (upset) is represented canonically by its finite antichain
 of minimal words, sorted length-then-lex.  The quantale order is reverse
 inclusion, so the least element 0 is the full word set, represented by the
 antichain containing only the empty word; the empty set is the antichain ().
+Words are ordered by subword embedding under the discrete letter order.
 """
 from __future__ import annotations
 
@@ -63,21 +64,17 @@ class FinalSegment:
     def join(self, other: FinalSegment) -> FinalSegment:
         """Lattice join = set intersection.
 
-        Over the discrete letter order the minimal words of an intersection
-        of upsets are minimal common superwords of generator pairs, which is
-        far cheaper than the product-acceptor route; the acceptor route
-        remains for ordered alphabets and as the test oracle.
+        The minimal words of an intersection of upsets are minimal common
+        superwords of generator pairs.
         """
         self._check(other)
         if self.leq(other):
             return other
         if other.leq(self):
             return self
-        if self.alphabet.has_trivial_order():
-            merged = [w for g in self.generators for h in other.generators
-                      for w in minimal_common_superwords(g, h)]
-            return FinalSegment.of(self.alphabet, merged)
-        return join_via_automata(self, other)
+        merged = [w for g in self.generators for h in other.generators
+                  for w in minimal_common_superwords(g, h)]
+        return FinalSegment.of(self.alphabet, merged)
 
     def oplus(self, other: FinalSegment) -> FinalSegment:
         """Monoid operation: pointwise concatenation, re-minimized."""
@@ -135,32 +132,11 @@ def residual(v: FinalSegment, b: FinalSegment, side: str) -> FinalSegment:
         raise ValueError("side must be 'left' or 'right'")
     if b.is_empty_set():
         return FinalSegment.zero(v.alphabet)
-    if not v.alphabet.has_trivial_order():
-        return residual_via_automata(v, b, side)
     out: Optional[FinalSegment] = None
     for g in b.generators:
         quo = word_quotient_upset(v, g, side)
         out = quo if out is None else out.join(quo)
     return out
-
-
-def residual_via_automata(v: FinalSegment, b: FinalSegment,
-                          side: str) -> FinalSegment:
-    """Acceptor-based route for the residual (oracle and ordered-alphabet
-    fallback)."""
-    v._check(b)
-    if b.is_empty_set():
-        return FinalSegment.zero(v.alphabet)
-    aut: Optional[automata.Automaton] = None
-    for g in b.generators:
-        quo = automata.word_quotient(v.to_automaton(), g, side)
-        aut = quo if aut is None else automata.intersect(aut, quo)
-    return FinalSegment(v.alphabet, automata.minimal_antichain(aut))
-
-
-def join_via_automata(p: FinalSegment, q: FinalSegment) -> FinalSegment:
-    prod = automata.intersect(p.to_automaton(), q.to_automaton())
-    return FinalSegment(p.alphabet, automata.minimal_antichain(prod))
 
 
 def residual_distance(p: FinalSegment, q: FinalSegment) -> FinalSegment:

@@ -9,7 +9,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ._orders import MissingJoin, join_of, least_of, maximal_cliques, meet_of
+from ._orders import MissingJoin, NotResiduated, join_of, least_of, \
+    maximal_cliques, meet_of
 
 
 class SizeGuard(ValueError):
@@ -203,7 +204,8 @@ class MonoidTable:
         return True
 
     def residual(self, v, beta, side: str):
-        """Least r with v <= r + beta (side='right') or v <= beta + r."""
+        """Least r with v <= r + beta (side='right') or v <= beta + r;
+        raises NotResiduated when no least such r exists."""
         if side == "right":
             cands = [r for r in self.elements if self.leq(v, self.oplus(r, beta))]
         elif side == "left":
@@ -212,7 +214,7 @@ class MonoidTable:
             raise ValueError("side must be 'left' or 'right'")
         r = least_of(cands, self.leq)
         if r is None:
-            raise MissingJoin(f"no least residual of {v!r} by {beta!r}")
+            raise NotResiduated(v, beta)
         return r
 
     def canonical_distance(self, p, q):
@@ -221,10 +223,6 @@ class MonoidTable:
         first = self.residual(self.inv(p), self.inv(q), "right")
         second = self.residual(q, p, "left")
         return self.join([first, second])
-
-    def to_json(self) -> dict:
-        return {"elements": [repr(e) for e in self.elements],
-                "zero": repr(self.zero)}
 
 
 class FiniteGms:

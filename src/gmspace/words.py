@@ -1,8 +1,9 @@
 """Words over a finite involutive alphabet, ordered by subword embedding.
 
 The default alphabet is the two-letter one with ``+`` and ``-`` exchanged
-by the involution; general finite alphabets (with the identity involution
-and an optional strict partial order on letters) are supported as well.
+by the involution; general finite alphabets with the identity involution are
+supported as well.  Letters are compared by equality only: the subword order
+is the one induced by the discrete letter order.
 """
 from __future__ import annotations
 
@@ -16,16 +17,10 @@ class AlphabetMismatch(ValueError):
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Finite alphabet with a self-inverse involution and a letter order.
-
-    ``order`` holds the strict pairs ``(a, b)`` meaning ``a < b``; the empty
-    default is the discrete order.  Quasi-orders are rejected: the order must
-    be irreflexive, antisymmetric and transitive.
-    """
+    """Finite alphabet with a self-inverse involution on its letters."""
 
     letters: tuple[str, ...]
     involution_pairs: tuple[tuple[str, str], ...]
-    order: frozenset[tuple[str, str]] = frozenset()
     _inv: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
@@ -38,15 +33,6 @@ class Alphabet:
         for a, b in inv.items():
             if b not in carrier or inv[b] != a:
                 raise ValueError(f"involution is not self-inverse at {a!r}")
-        for a, b in self.order:
-            if a not in carrier or b not in carrier:
-                raise ValueError(f"order pair {(a, b)!r} uses unknown letters")
-            if a == b or (b, a) in self.order:
-                raise ValueError("letter order must be strict and antisymmetric")
-        for a, b in self.order:
-            for c, d in self.order:
-                if b == c and (a, d) not in self.order:
-                    raise ValueError("letter order must be transitive")
         object.__setattr__(self, "_inv", inv)
 
     @classmethod
@@ -55,20 +41,13 @@ class Alphabet:
         return cls(("+", "-"), (("+", "-"), ("-", "+")))
 
     @classmethod
-    def identity(cls, letters: Iterable[str],
-                 order: Iterable[tuple[str, str]] = ()) -> Alphabet:
+    def identity(cls, letters: Iterable[str]) -> Alphabet:
         """Alphabet with the identity involution (used for free-monoid work)."""
         letters = tuple(letters)
-        return cls(letters, tuple((a, a) for a in letters), frozenset(order))
+        return cls(letters, tuple((a, a) for a in letters))
 
     def involute_letter(self, a: str) -> str:
         return self._inv[a]
-
-    def letter_leq(self, a: str, b: str) -> bool:
-        return a == b or (a, b) in self.order
-
-    def has_trivial_order(self) -> bool:
-        return not self.order
 
     def position(self, a: str) -> int:
         return self.letters.index(a)
@@ -140,48 +119,26 @@ class Word:
         return cls(alphabet, tuple(payload))
 
 
-def concat(u: Word, v: Word) -> Word:
-    return u + v
-
-
-def involute(u: Word) -> Word:
-    return u.involute()
-
-
 def subword_leq(u: Word, v: Word) -> bool:
-    """Subword embedding: an injective increasing position map h with
-    u[i] <= v[h(i)] letterwise.
-
-    The left-greedy scan decides this for the discrete letter order; with a
-    nontrivial letter order a positional dynamic program is used instead.
-    """
+    """Subword embedding: u is obtained from v by deleting letters, decided
+    by the left-greedy scan."""
     if u.alphabet != v.alphabet:
         raise AlphabetMismatch("cannot compare words over different alphabets")
     if len(u) > len(v):
         return False
-    if u.alphabet.has_trivial_order():
-        it = iter(v.letters)
-        return all(a in it for a in u.letters)
-    # DP over positions of v: the set of matched prefix lengths of u.
-    leq = u.alphabet.letter_leq
-    matched = {0}
-    for b in v.letters:
-        matched |= {i + 1 for i in matched if i < len(u) and leq(u.letters[i], b)}
-        if len(u) in matched:
-            return True
-    return len(u) in matched
+    it = iter(v.letters)
+    return all(a in it for a in u.letters)
 
 
 def greedy_prefix_match(x: Word, g: Word) -> int:
     """Largest k such that x[:k] embeds into g by the left-greedy scan.
 
-    For any letterwise relation the greedy scan matches the longest possible
-    prefix, so ``g + u`` contains x as a subword iff u contains x[k:].
+    The greedy scan matches the longest possible prefix, so ``g + u``
+    contains x as a subword iff u contains x[k:].
     """
-    leq = x.alphabet.letter_leq
     k = 0
     for b in g.letters:
-        if k < len(x) and leq(x.letters[k], b):
+        if k < len(x) and x.letters[k] == b:
             k += 1
     return k
 
@@ -215,32 +172,34 @@ def is_antichain(words: Iterable[Word]) -> bool:
 def minimal_common_superwords(a: Word, b: Word) -> tuple[Word, ...]:
     """Antichain of minimal words containing both arguments as subwords.
 
-    Valid for the discrete letter order only: the first letter of a minimal
-    merge must serve the leftmost embedding of one of the arguments, and with
-    equal heads both embeddings share it.
+    The first letter of a minimal merge must serve the leftmost embedding of
+    one of the arguments, and with equal heads both embeddings share it.  The
+    merges of each pair of suffixes are memoized and filled from an explicit
+    stack, so long words do not hit the recursion limit.
     """
-    if not a.alphabet.has_trivial_order():
-        raise ValueError("merge requires the discrete letter order")
-    alphabet = a.alphabet
-    memo: dict[tuple[int, int], tuple] = {}
-
-    def rec(i: int, j: int) -> tuple[tuple[str, ...], ...]:
-        got = memo.get((i, j))
-        if got is not None:
-            return got
+    memo: dict[tuple[int, int], tuple[tuple[str, ...], ...]] = {}
+    stack = [(0, 0)]
+    while stack:
+        i, j = stack[-1]
+        if (i, j) in memo:
+            stack.pop()
+            continue
         if i == len(a):
-            out: tuple = (b.letters[j:],)
-        elif j == len(b):
-            out = (a.letters[i:],)
+            memo[(i, j)] = (b.letters[j:],)
+            continue
+        if j == len(b):
+            memo[(i, j)] = (a.letters[i:],)
+            continue
+        x, y = a.letters[i], b.letters[j]
+        needs = [(i + 1, j + 1)] if x == y else [(i + 1, j), (i, j + 1)]
+        missing = [k for k in needs if k not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
+        if x == y:
+            memo[(i, j)] = tuple((x,) + t for t in memo[(i + 1, j + 1)])
         else:
-            x, y = a.letters[i], b.letters[j]
-            if x == y:
-                out = tuple((x,) + t for t in rec(i + 1, j + 1))
-            else:
-                branches = {(x,) + t for t in rec(i + 1, j)}
-                branches.update((y,) + t for t in rec(i, j + 1))
-                out = tuple(branches)
-        memo[(i, j)] = out
-        return out
-
-    return minimize_words(Word(alphabet, t) for t in rec(0, 0))
+            branches = {(x,) + t for t in memo[(i + 1, j)]}
+            branches.update((y,) + t for t in memo[(i, j + 1)])
+            memo[(i, j)] = tuple(branches)
+    return minimize_words(Word(a.alphabet, t) for t in memo[(0, 0)])

@@ -1,17 +1,17 @@
 """Reflexive digraphs as generalized metric spaces under the zigzag distance.
 
 The distance from x to y is the upward-closed set of +/- words coding the
-zigzags that map homomorphically into the graph from x to y.  A single pair
-is computed by reading the graph as an acceptor and extracting the minimal
-antichain; the full matrix is the closure of the one-step distances under
-the triangle inequality, a Floyd-Warshall pass in the quantale.
+zigzags that map homomorphically into the graph from x to y.  The row d(x, .)
+is the least solution of the triangle inequality over the one-step
+distances, computed by relaxation in the quantale of final segments; a
+single pair and the full matrix both read off such rows.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from . import automata
 from .segments import FinalSegment, in_macneille
 from .words import PLUS_MINUS, Word
 
@@ -57,24 +57,50 @@ class ReflexiveDigraph:
             raise ValueError(f"unknown vertex {v!r}") from None
 
 
-def zigzag_automaton(g: ReflexiveDigraph, x: str, y: str) -> automata.Automaton:
-    """Acceptor of the zigzag words from x to y: a + step follows an edge
-    forward, a - step follows one backward; loops absorb insertions."""
-    ix, iy = g._index(x), g._index(y)
-    n = len(g.vertices)
+def _distances_from(g: ReflexiveDigraph, x: str) -> list[FinalSegment]:
+    """The row d(x, .): start from r(x) = 0 and the empty set elsewhere, and
+    relax r(j) <- r(j) meet (r(k) (+) step(k, j)) over the non-loop edges,
+    where a forward edge steps by {+} and a backward edge by {-}, until no
+    entry changes.
+
+    Entries only grow as word sets, and ascending chains of upsets are
+    finite (Higman), so the relaxation stops; its fixed point does not depend
+    on the order of the updates, and antichains are canonical.
+    """
+    ix = g._index(x)
     pos = {v: i for i, v in enumerate(g.vertices)}
-    trans = set()
-    for a, b in g.edges:
-        trans.add((pos[a], "+", pos[b]))
-        trans.add((pos[b], "-", pos[a]))
-    return automata.Automaton(PLUS_MINUS, n, frozenset(trans),
-                              frozenset({ix}), frozenset({iy}))
+    plus = FinalSegment.of(PLUS_MINUS, ["+"])
+    minus = FinalSegment.of(PLUS_MINUS, ["-"])
+    forward: list[list[int]] = [[] for _ in g.vertices]
+    backward: list[list[int]] = [[] for _ in g.vertices]
+    for a, b in sorted(g.edges):  # a fixed order: the same work on every run
+        if a != b:
+            forward[pos[a]].append(pos[b])
+            backward[pos[b]].append(pos[a])
+    r = [FinalSegment.empty(PLUS_MINUS)] * len(g.vertices)
+    r[ix] = FinalSegment.zero(PLUS_MINUS)
+    queue = deque([ix])
+    queued = {ix}
+    while queue:
+        k = queue.popleft()
+        queued.discard(k)
+        for step, targets in ((plus, forward[k]), (minus, backward[k])):
+            if not targets:
+                continue
+            reach = r[k].oplus(step)
+            for j in targets:
+                if r[j].leq(reach):
+                    continue
+                r[j] = r[j].meet(reach)
+                if j not in queued:
+                    queued.add(j)
+                    queue.append(j)
+    return r
 
 
 def zigzag_distance(g: ReflexiveDigraph, x: str, y: str) -> FinalSegment:
-    aut = zigzag_automaton(g, x, y)
-    # reflexive loops guarantee upward closure; minimal_antichain re-checks
-    return FinalSegment(PLUS_MINUS, automata.minimal_antichain(aut))
+    row = _distances_from(g, x)
+    return row[g._index(y)]
 
 
 @dataclass(frozen=True)
@@ -113,40 +139,10 @@ class DistanceMatrix:
 
 
 def distance_matrix(g: ReflexiveDigraph) -> DistanceMatrix:
-    """All zigzag distances, by Floyd-Warshall over final segments.
-
-    Every zigzag from x to y is a sequence of one-step moves, so d(x,y) is
-    the meet over paths of the (+) of their one-step values.  No Kleene star
-    is needed at a pivot k: d(k,k) is the unit 0, and a detour through a
-    cycle only lengthens the words of a path that skips it.
-    """
-    n = len(g.vertices)
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    empty = FinalSegment.empty(PLUS_MINUS)
-    plus = FinalSegment.of(PLUS_MINUS, ["+"])
-    minus = FinalSegment.of(PLUS_MINUS, ["-"])
-    d = [[empty] * n for _ in range(n)]
-    for i in range(n):
-        d[i][i] = FinalSegment.zero(PLUS_MINUS)
-    for a, b in g.edges:
-        if a != b:
-            i, j = pos[a], pos[b]
-            d[i][j] = d[i][j].meet(plus)
-            d[j][i] = d[j][i].meet(minus)
-    for k in range(n):
-        row_k = d[k]
-        for i in range(n):
-            d_ik = d[i][k]
-            if i == k or d_ik.is_empty_set():
-                continue
-            row_i = d[i]
-            for j in range(n):
-                # j == i is skipped: the diagonal already holds the least 0
-                if j == k or j == i or row_k[j].is_empty_set():
-                    continue
-                row_i[j] = row_i[j].meet(d_ik.oplus(row_k[j]))
-    rows = tuple(tuple(row) for row in d)
+    """All zigzag distances, one relaxed row per vertex."""
+    rows = tuple(tuple(_distances_from(g, x)) for x in g.vertices)
     # involution symmetry is checked on the computed entries, not derived
+    n = len(g.vertices)
     for i in range(n):
         for j in range(i + 1, n):
             if rows[j][i].involute() != rows[i][j]:

@@ -42,6 +42,9 @@ def test_zigzag_dist(tmp_path, capsys):
     assert code == 0 and '["+"]' in out
     code, out = run(capsys, "zigzag", "dist", path, "--from", "a", "--to", "b")
     assert code == 0 and '["+"]' in out
+    for src, dst in (("zz", "b"), ("a", "zz")):
+        code, out = run(capsys, "zigzag", "dist", path, "--from", src, "--to", dst)
+        assert code == 2 and out == ""
 
 
 def test_zigzag_embeddable(tmp_path, capsys):
@@ -153,6 +156,9 @@ def test_input_errors(tmp_path, capsys):
     bad.write_text("{not json")
     assert run(capsys, "zigzag", "dist", str(bad))[0] == 2
     assert dispatch(["nonsense"]) == 2
+    good = write(tmp_path, "g.json", CHAIN2)
+    assert dispatch(["--json", "zigzag", "dist", good]) == 0
+    assert dispatch(["--seed", "1", "--json", "zigzag", "dist", good]) == 2
 
 
 def test_reports_byte_identical(tmp_path, capsys):

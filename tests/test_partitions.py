@@ -9,8 +9,9 @@ from gmspace.partitions import (EquivSystem, NotResiduated,
                                 is_distributive, kaarli_extend, orthogonal,
                                 orthogonal_family_search, preserves_partition,
                                 residuated_distance, sublattice_closure,
-                                ultrametric_from_system, weakly_orthogonal)
-from gmspace.spaces import SizeGuard
+                                ultrametric_from_system)
+from gmspace._orders import least_of
+from gmspace.spaces import MonoidTable, SizeGuard
 
 Z6 = tuple(range(6))
 MOD2 = Partition.from_blocks(Z6, [[0, 2, 4], [1, 3, 5]])
@@ -242,6 +243,58 @@ def test_residuated_distance_examples():
     assert err.value.pair
 
 
+def looped_residuated_distance(elements, leq_pairs):
+    """Oracle: the per-pair residual loop over the join monoid."""
+    monoid = MonoidTable.from_join_semilattice(elements, leq_pairs)
+
+    def resid(x, y):
+        cands = [z for z in monoid.elements if monoid.leq(x, monoid.oplus(y, z))]
+        r = least_of(cands, monoid.leq)
+        if r is None:
+            raise NotResiduated(x, y)
+        return r
+
+    return {(x, y): monoid.join([resid(x, y), resid(y, x)])
+            for x in monoid.elements for y in monoid.elements}
+
+
+def lattice(elements, below):
+    return list(elements), [(a, b) for a in elements for b in elements
+                            if a != b and below(a, b)]
+
+
+def bounded(middle, below=()):
+    """0 < middle < 1, with the extra strict pairs among the middle ones."""
+    els = ["0", *middle, "1"]
+    return els, [("0", x) for x in els[1:]] + \
+        [(x, "1") for x in middle] + list(below)
+
+
+def test_residuated_distance_matches_residual_loop():
+    subsets = [frozenset(s) for r in range(4)
+               for s in itertools.combinations(range(3), r)]
+    distributive = [
+        lattice(subsets, lambda a, b: a < b),
+        lattice(range(5), lambda a, b: a < b),
+        lattice([d for d in range(1, 13) if 12 % d == 0],
+                lambda a, b: b % a == 0),
+        lattice([d for d in range(1, 31) if 30 % d == 0],
+                lambda a, b: b % a == 0),
+    ]
+    for elements, leq in distributive:
+        got = residuated_distance(elements, leq)
+        want = looped_residuated_distance(elements, leq)
+        assert list(got.items()) == list(want.items())
+    m3 = bounded(["a", "b", "c"])
+    n5 = bounded(["a", "b", "c"], [("a", "b")])
+    for elements, leq in (m3, n5):
+        with pytest.raises(NotResiduated) as want:
+            looped_residuated_distance(elements, leq)
+        with pytest.raises(NotResiduated) as got:
+            residuated_distance(elements, leq)
+        assert got.value.pair == want.value.pair
+
+
 def test_commuting_composition_identity_on_z12():
     # in the convex space built from a commuting lattice the composition of
     # two relations is the relation of the join
@@ -264,7 +317,6 @@ def test_orthogonality_examples():
     c = Partition.from_blocks(E4, [[0, 1], [2], [3]])
     assert orthogonal(a, b)
     assert not orthogonal(a, c)
-    assert weakly_orthogonal(b, c)
 
 
 def test_orthogonal_family_members_pairwise():

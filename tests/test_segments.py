@@ -3,10 +3,10 @@ from itertools import combinations
 
 import pytest
 
+from gmspace import automata
 from gmspace.segments import (FinalSegment, default_accessibility_candidates,
                               in_macneille, is_accessible, is_self_dual,
-                              join_via_automata, principal_upsets, residual,
-                              residual_distance, residual_via_automata)
+                              principal_upsets, residual, residual_distance)
 from gmspace.words import PLUS_MINUS, AlphabetMismatch, all_words, \
     is_antichain
 
@@ -24,6 +24,11 @@ def test_order_and_lattice_examples():
     assert seg("+").leq(seg("++"))
     assert not seg("++").leq(seg("+"))
     assert EMPTY.leq(EMPTY) and seg("+").leq(EMPTY)
+
+
+def test_join_of_long_generators():
+    u, v = "+-" * 600, "-+" * 600
+    assert seg(u).join(seg(v)) == seg(u + "+", v + "-")
 
 
 def test_oplus_examples():
@@ -112,6 +117,23 @@ def test_distance_is_least_of_its_defining_set():
         for r in shorts:
             if p.leq(q.oplus(r.involute())) and q.leq(p.oplus(r)):
                 assert d.leq(r)
+
+
+def join_via_automata(p, q):
+    """Oracle: minimal words of the product acceptor of the two upsets."""
+    prod = automata.intersect(p.to_automaton(), q.to_automaton())
+    return FinalSegment(p.alphabet, automata.minimal_antichain(prod))
+
+
+def residual_via_automata(v, b, side):
+    """Oracle: minimal words of the intersected word-quotient acceptors."""
+    if b.is_empty_set():
+        return FinalSegment.zero(v.alphabet)
+    aut = None
+    for g in b.generators:
+        quo = automata.word_quotient(v.to_automaton(), g, side)
+        aut = quo if aut is None else automata.intersect(aut, quo)
+    return FinalSegment(v.alphabet, automata.minimal_antichain(aut))
 
 
 def test_antichain_routes_agree_with_automata_routes():

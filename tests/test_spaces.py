@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from gmspace._orders import order_residual
 from gmspace.spaces import (FiniteGms, MonoidTable, SizeGuard,
                             canonical_distance_space, space_from_json)
 
@@ -217,8 +216,9 @@ def test_retracts_preserve_fpp():
 
 def test_order_residual_helper():
     mon = MonoidTable.divisor_lattice(12)
-    assert order_residual(mon.elements, mon.leq, mon.oplus, 4, 2) == 4
-    assert order_residual(mon.elements, mon.leq, mon.oplus, 2, 2) == 1
+    for side in ("left", "right"):
+        assert mon.residual(4, 2, side) == 4
+        assert mon.residual(2, 2, side) == 1
 
 
 def test_space_json_round_trip():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -66,18 +68,7 @@ def test_greedy_matches_quotient_semantics(x, g):
     assert (x <= g + u) == (x.suffix_from(k) <= u)
 
 
-def test_subword_ordered_alphabet_dp():
-    alpha = Alphabet.identity(["a", "b"], order=[("a", "b")])
-    wa = lambda s: Word.parse(s, alpha)
-    assert subword_leq(wa("a"), wa("b"))       # letterwise increase
-    assert subword_leq(wa("ab"), wa("bb"))
-    assert not subword_leq(wa("b"), wa("a"))
-    assert subword_leq(wa("aa"), wa("ba"))
-
-
 def test_ordered_alphabet_validation():
-    with pytest.raises(ValueError):
-        Alphabet.identity(["a", "b"], order=[("a", "b"), ("b", "a")])
     with pytest.raises(ValueError):
         Alphabet(("+",), (("+", "-"),))
 
@@ -117,3 +108,45 @@ def test_merge_agrees_with_enumeration(a, b):
     members = [v for v in all_words(PLUS_MINUS, bound) if a <= v and b <= v]
     expected = minimize_words(members)
     assert merged == expected
+
+
+def recursive_common_superwords(a, b):
+    """Oracle: the memoized recursion over suffix pairs that the iterative
+    merge replaces."""
+    memo = {}
+
+    def rec(i, j):
+        got = memo.get((i, j))
+        if got is not None:
+            return got
+        if i == len(a):
+            out = (b.letters[j:],)
+        elif j == len(b):
+            out = (a.letters[i:],)
+        else:
+            x, y = a.letters[i], b.letters[j]
+            if x == y:
+                out = tuple((x,) + t for t in rec(i + 1, j + 1))
+            else:
+                branches = {(x,) + t for t in rec(i + 1, j)}
+                branches.update((y,) + t for t in rec(i, j + 1))
+                out = tuple(branches)
+        memo[(i, j)] = out
+        return out
+
+    return minimize_words(Word(a.alphabet, t) for t in rec(0, 0))
+
+
+def test_merge_matches_recursive_oracle():
+    rng = random.Random(31)
+    for _ in range(300):
+        a = w("".join(rng.choice("+-") for _ in range(rng.randint(0, 8))))
+        b = w("".join(rng.choice("+-") for _ in range(rng.randint(0, 8))))
+        assert minimal_common_superwords(a, b) == recursive_common_superwords(a, b)
+
+
+def test_merge_of_long_words_needs_no_recursion():
+    u = w("+-" * 600)
+    assert minimal_common_superwords(u, u) == (u,)
+    assert minimal_common_superwords(u, w("")) == (u,)
+    assert minimal_common_superwords(u + w("+"), u) == (u + w("+"),)

@@ -10,8 +10,7 @@ from gmspace.words import PLUS_MINUS, Word, all_words
 from gmspace.zigzag import (DistanceMatrix, ReflexiveDigraph, distance_matrix,
                             fence_distance, graph_from_matrix, is_graph_hom,
                             is_nonexpansive, oriented_embeddable,
-                            satisfies_graph_condition, zigzag_automaton,
-                            zigzag_distance)
+                            satisfies_graph_condition, zigzag_distance)
 
 from conftest import seg
 
@@ -32,6 +31,23 @@ def random_digraph(rng, max_n=4):
     vs = [f"v{i}" for i in range(n)]
     edges = [(a, b) for a in vs for b in vs if a != b and rng.random() < 0.4]
     return ReflexiveDigraph.of(vs, edges)
+
+
+def zigzag_automaton(g, x, y):
+    """Oracle: acceptor of the zigzag words from x to y.  A + step follows an
+    edge forward, a - step follows one backward; loops absorb insertions."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    trans = set()
+    for a, b in g.edges:
+        trans.add((pos[a], "+", pos[b]))
+        trans.add((pos[b], "-", pos[a]))
+    return automata.Automaton(A, len(g.vertices), frozenset(trans),
+                              frozenset({g._index(x)}), frozenset({g._index(y)}))
+
+
+def acceptor_distance(g, x, y):
+    """Oracle: the minimal antichain of the zigzag acceptor's language."""
+    return FinalSegment(A, automata.minimal_antichain(zigzag_automaton(g, x, y)))
 
 
 def brute_zigzag_words(g, x, y, max_len):
@@ -66,6 +82,8 @@ def test_zigzag_examples():
     assert zigzag_distance(cycle3(), "a", "b") == seg("+", "--")
     with pytest.raises(ValueError):
         zigzag_distance(g, "a", "zz")
+    with pytest.raises(ValueError):
+        zigzag_distance(g, "zz", "a")
 
 
 def test_loops_added_flag():
@@ -88,14 +106,18 @@ def test_distance_matrix_examples():
 def pairwise_matrix(g):
     """Oracle: one acceptor pipeline per pair of vertices."""
     return DistanceMatrix(g.vertices, tuple(
-        tuple(zigzag_distance(g, x, y) for y in g.vertices)
+        tuple(acceptor_distance(g, x, y) for y in g.vertices)
         for x in g.vertices))
 
 
 def assert_matches_pairwise(g):
+    """The matrix and every single-pair distance against the acceptors."""
     got, want = distance_matrix(g), pairwise_matrix(g)
     assert got.entries == want.entries
     assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    for i, x in enumerate(g.vertices):
+        for j, y in enumerate(g.vertices):
+            assert zigzag_distance(g, x, y) == want.entries[i][j]
 
 
 def test_distance_matrix_matches_pairwise_on_all_small_digraphs():
@@ -134,7 +156,7 @@ def test_distance_matrix_on_oriented_paths_is_principal():
             else:
                 letters = ["-" if f else "+" for f in forward[j:i]][::-1]
             assert m.entries[i][j] == FinalSegment(A, (Word(A, tuple(letters)),))
-        assert m.entries == pairwise_matrix(g).entries
+        assert_matches_pairwise(g)
 
 
 def test_distance_matrix_asymmetry_is_an_engine_bug(monkeypatch):
