@@ -58,15 +58,15 @@ def maximal_cliques(nodes: list, adjacent: Callable[[int, int], bool]):
             if adjacent(i, j):
                 neigh[i].add(j)
                 neigh[j].add(i)
+    yield from _expand_cliques(neigh, set(), set(range(len(nodes))), set())
 
-    def expand(r: set, p: set, x: set):
-        if not p and not x:
-            yield sorted(r)
-            return
-        pivot = max(p | x, key=lambda v: len(neigh[v] & p))
-        for v in sorted(p - neigh[pivot]):
-            yield from expand(r | {v}, p & neigh[v], x & neigh[v])
-            p = p - {v}
-            x = x | {v}
 
-    yield from expand(set(), set(range(len(nodes))), set())
+def _expand_cliques(neigh: list[set], r: set, p: set, x: set):
+    if not p and not x:
+        yield sorted(r)
+        return
+    pivot = max(p | x, key=lambda v: len(neigh[v] & p))
+    for v in sorted(p - neigh[pivot]):
+        yield from _expand_cliques(neigh, r | {v}, p & neigh[v], x & neigh[v])
+        p = p - {v}
+        x = x | {v}

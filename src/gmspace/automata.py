@@ -59,15 +59,6 @@ class Automaton:
         return frozenset(out)
 
 
-def accepts(aut: Automaton, w: Word) -> bool:
-    states = aut.initial
-    for a in w.letters:
-        if not states:
-            return False
-        states = aut.step(states, a)
-    return bool(states & aut.accepting)
-
-
 def upset_automaton(alphabet: Alphabet, words) -> Automaton:
     """Acceptor of the upward closure of the given words.
 
@@ -76,7 +67,7 @@ def upset_automaton(alphabet: Alphabet, words) -> Automaton:
     a self-loop on every letter, and position i advances on the i-th letter
     of its generator.
     """
-    gens = minimize_words(words)
+    gens = [alphabet.decode(g) for g in minimize_words(w.code for w in words)]
     trans: set[tuple[int, str, int]] = set()
     initial: set[int] = set()
     accepting: set[int] = set()
@@ -88,7 +79,7 @@ def upset_automaton(alphabet: Alphabet, words) -> Automaton:
         for i in range(n + 1):
             for a in alphabet.letters:
                 trans.add((base + i, a, base + i))
-                if i < n and g.letters[i] == a:
+                if i < n and g[i] == a:
                     trans.add((base + i, a, base + i + 1))
         base += n + 1
     return Automaton(alphabet, base, frozenset(trans), frozenset(initial),
@@ -144,7 +135,7 @@ def _complete(aut: Automaton) -> Automaton:
 
 def intersect(a: Automaton, b: Automaton) -> Automaton:
     """Product automaton; accepts the intersection of the two languages."""
-    if a.alphabet != b.alphabet:
+    if not a.alphabet.same(b.alphabet):
         raise ValueError("alphabet mismatch")
     letters = a.alphabet.letters
     index: dict[tuple[int, int], int] = {}
@@ -174,32 +165,27 @@ def intersect(a: Automaton, b: Automaton) -> Automaton:
                      accepting, deterministic=det and len(initial) <= 1)
 
 
-def _reachable(aut: Automaton) -> set[int]:
-    seen = set(aut.initial)
-    queue = deque(seen)
-    while queue:
-        p = queue.popleft()
-        for a in aut.alphabet.letters:
-            for q in aut._delta.get((p, a), ()):
-                if q not in seen:
-                    seen.add(q)
-                    queue.append(q)
+def _search_from(seeds, edges) -> set[int]:
+    """States reachable from the seeds along (p, q) edges."""
+    succ: dict[int, list[int]] = {}
+    for p, q in edges:
+        succ.setdefault(p, []).append(q)
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for q in succ.get(stack.pop(), ()):
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
     return seen
+
+
+def _reachable(aut: Automaton) -> set[int]:
+    return _search_from(aut.initial, ((p, q) for p, _, q in aut.transitions))
 
 
 def _coreachable(aut: Automaton) -> set[int]:
-    back: dict[int, set[int]] = {}
-    for p, _, q in aut.transitions:
-        back.setdefault(q, set()).add(p)
-    seen = set(aut.accepting)
-    queue = deque(seen)
-    while queue:
-        q = queue.popleft()
-        for p in back.get(q, ()):
-            if p not in seen:
-                seen.add(p)
-                queue.append(p)
-    return seen
+    return _search_from(aut.accepting, ((q, p) for p, _, q in aut.transitions))
 
 
 def trim(aut: Automaton) -> Automaton:
@@ -251,16 +237,14 @@ def enumerate_finite(aut: Automaton) -> list[Word]:
         raise ValueError("language is infinite")
     t = trim(aut)
     words: set[tuple[str, ...]] = set()
-
-    def walk(state: int, prefix: tuple[str, ...]):
+    stack = [(s, ()) for s in t.initial]  # every path is finite: no cycles
+    while stack:
+        state, prefix = stack.pop()
         if state in t.accepting:
             words.add(prefix)
         for a in t.alphabet.letters:
             for q in t._delta.get((state, a), ()):
-                walk(q, prefix + (a,))
-
-    for s in t.initial:
-        walk(s, ())
+                stack.append((q, prefix + (a,)))
     return sorted((Word(aut.alphabet, w) for w in words), key=Word.sort_key)
 
 
@@ -282,13 +266,6 @@ def insert_one_letter(aut: Automaton) -> Automaton:
                      frozenset(q + n for q in aut.accepting))
 
 
-def is_upward_closed(aut: Automaton) -> bool:
-    """Decide L = up(L): every one-letter insertion into an accepted word
-    must stay in the language."""
-    bigger = insert_one_letter(aut)
-    return is_empty(intersect(bigger, complement(determinize(aut))))
-
-
 def minimal_antichain(aut: Automaton) -> tuple[Word, ...]:
     """Antichain of minimal words of an upward-closed language.
 
@@ -304,24 +281,3 @@ def minimal_antichain(aut: Automaton) -> tuple[Word, ...]:
     if not is_finite(residual):
         raise AssertionError("infinite set of minimal words: engine bug")
     return tuple(enumerate_finite(residual))
-
-
-def word_quotient(aut: Automaton, w: Word, side: str) -> Automaton:
-    """Right quotient {u : uw in L} or left quotient {u : wu in L}."""
-    if side == "right":
-        accepting = set()
-        for p in range(aut.num_states):
-            states = frozenset({p})
-            for a in w.letters:
-                states = aut.step(states, a)
-            if states & aut.accepting:
-                accepting.add(p)
-        return Automaton(aut.alphabet, aut.num_states, aut.transitions,
-                         aut.initial, frozenset(accepting))
-    if side == "left":
-        states = aut.initial
-        for a in w.letters:
-            states = aut.step(states, a)
-        return Automaton(aut.alphabet, aut.num_states, aut.transitions,
-                         frozenset(states), aut.accepting)
-    raise ValueError("side must be 'left' or 'right'")

@@ -94,8 +94,12 @@ def parse_poly(text: str) -> IntPoly:
         raise InputError(str(exc)) from exc
 
 
+def _json_digest(payload) -> str:
+    return _digest([json.dumps(payload, sort_keys=True)])
+
+
 def _emit(args, payload: dict, exit_code: int) -> int:
-    report = {"command": payload.pop("_command"),
+    report = {"command": f"{args.cmd} {getattr(args, args.cmd + '_cmd')}",
               "input_digest": payload.pop("_digest"),
               "result": payload}
     if args.json:
@@ -124,8 +128,7 @@ def _system_from_json(payload) -> EquivSystem:
 def _cmd_zigzag(args) -> int:
     payload = _load_json(args.graph)
     g = zigzag.ReflexiveDigraph.from_json(payload)
-    base = {"_command": f"zigzag {args.zigzag_cmd}",
-            "_digest": _digest([json.dumps(payload, sort_keys=True)])}
+    base = {"_digest": _json_digest(payload)}
     if args.zigzag_cmd == "dist":
         if (args.src is None) != (args.dst is None):
             raise InputError("--from and --to must be given together")
@@ -155,8 +158,7 @@ def _cmd_zigzag(args) -> int:
 def _cmd_gms(args) -> int:
     payload = _load_json(args.space)
     space = space_from_json(payload)
-    base = {"_command": f"gms {args.gms_cmd}",
-            "_digest": _digest([json.dumps(payload, sort_keys=True)])}
+    base = {"_digest": _json_digest(payload)}
     if args.gms_cmd == "check":
         bad = space.check_axioms()
         base["axioms_hold"] = not bad
@@ -181,14 +183,11 @@ def _cmd_gms(args) -> int:
 def _cmd_eqv(args) -> int:
     if args.eqv_cmd == "orthogonal":
         fam = orthogonal_family_search(args.n, block_size=args.block_size)
-        base = {"_command": "eqv orthogonal",
-                "_digest": _digest([str(args.n), str(args.block_size)]),
-                "size": len(fam),
-                "family": [p.to_json() for p in fam]}
+        base = {"_digest": _digest([str(args.n), str(args.block_size)]),
+                "size": len(fam), "family": [p.to_json() for p in fam]}
         return _emit(args, base, 0)
     payload = _load_json(args.input)
-    base = {"_command": f"eqv {args.eqv_cmd}",
-            "_digest": _digest([json.dumps(payload, sort_keys=True)])}
+    base = {"_digest": _json_digest(payload)}
     if args.eqv_cmd == "arithmetical":
         system = _system_from_json(payload)
         lattice = sublattice_closure(system.relations)
@@ -232,23 +231,21 @@ def _cmd_zcong(args) -> int:
     if args.zcong_cmd == "check":
         poly = parse_poly(args.poly)
         ok, witness = zcong.is_congruence_preserving(poly)
-        base = {"_command": "zcong check", "_digest": _digest([args.poly]),
-                "congruence_preserving": ok,
+        base = {"_digest": _digest([args.poly]), "congruence_preserving": ok,
                 "binomial_coefficients": list(poly.coeffs)}
         if witness:
             base["witness"] = {"x": witness[0], "k": witness[1]}
         return _emit(args, base, 0 if ok else 1)
     if args.zcong_cmd == "gen":
         poly = zcong.cgg_generator(args.n)
-        base = {"_command": "zcong gen", "_digest": _digest([str(args.n)]),
+        base = {"_digest": _digest([str(args.n)]),
                 "binomial_coefficients": list(poly.coeffs),
                 "lcm": zcong.lcm_upto(args.n)}
         return _emit(args, base, 0)
     if args.zcong_cmd == "extend":
         payload = _load_json(args.pairs)
         f = {int(a): int(v) for a, v in payload}
-        base = {"_command": "zcong extend",
-                "_digest": _digest([json.dumps(payload, sort_keys=True),
+        base = {"_digest": _digest([json.dumps(payload, sort_keys=True),
                                     str(args.z)])}
         try:
             value = zcong.extend_congruence_map(f, args.z)
@@ -264,8 +261,7 @@ def _cmd_zcong(args) -> int:
         grid = GridMap.of(payload["dimension"],
                           [tuple(w) for w in payload["window"]],
                           {tuple(p): tuple(v) for p, v in payload["values"]})
-        base = {"_command": "zcong affine",
-                "_digest": _digest([json.dumps(payload, sort_keys=True)])}
+        base = {"_digest": _json_digest(payload)}
         result = zcong.zn_affine_check(grid)
         if isinstance(result, Affine):
             base["affine"] = True
@@ -282,8 +278,7 @@ def _cmd_zcong(args) -> int:
 def _cmd_semirigid(args) -> int:
     if args.semirigid_cmd == "zadori":
         system = semirigid.zadori_system(args.n)
-        base = {"_command": "semirigid zadori", "_digest": _digest([str(args.n)]),
-                "system": system.to_json()}
+        base = {"_digest": _digest([str(args.n)]), "system": system.to_json()}
         if args.check:
             ok, witness = semirigid.is_semirigid(system)
             base["semirigid"] = ok
@@ -294,8 +289,7 @@ def _cmd_semirigid(args) -> int:
     if args.semirigid_cmd == "check":
         payload = _load_json(args.system)
         system = _system_from_json(payload)
-        base = {"_command": "semirigid check",
-                "_digest": _digest([json.dumps(payload, sort_keys=True)])}
+        base = {"_digest": _json_digest(payload)}
         ok, witness = semirigid.is_semirigid(system)
         base["semirigid"] = ok
         if witness:
@@ -305,8 +299,7 @@ def _cmd_semirigid(args) -> int:
         payload = _load_json(args.points)
         pts = semirigid.parse_points(payload)
         system = semirigid.plane_system(pts)
-        base = {"_command": "semirigid plane",
-                "_digest": _digest([json.dumps(payload, sort_keys=True)]),
+        base = {"_digest": _json_digest(payload),
                 "points": semirigid.points_to_json(pts),
                 "relations": [[["|".join(map(str, p)) for p in b] for b in r.blocks]
                               for r in system.relations]}
@@ -335,9 +328,7 @@ def _cmd_semirigid(args) -> int:
 def _cmd_freemon(args) -> int:
     payload = _load_json(args.antichain)
     seg = FinalSegment.from_json(payload, PLUS_MINUS)
-    base = {"_command": f"freemon {args.freemon_cmd}",
-            "_digest": _digest([json.dumps(payload, sort_keys=True)]),
-            "segment": seg.to_json()}
+    base = {"_digest": _json_digest(payload), "segment": seg.to_json()}
     if args.freemon_cmd == "factor":
         if seg.is_empty_set():
             raise InputError("the empty segment has no factorization")
@@ -354,6 +345,40 @@ def _cmd_freemon(args) -> int:
 # --- parser ----------------------------------------------------------------------
 
 
+_GRAPH = [("graph", {"help": "graph JSON file"})]
+_ENDS = [("--from", {"dest": "src", "default": None}),
+         ("--to", {"dest": "dst", "default": None})]
+_N = [("n", {"type": int})]
+_CHECK = ("--check", {"action": "store_true"})
+
+# command -> (help, handler, {subcommand: [(argument, add_argument options)]})
+COMMANDS = {
+    "zigzag": ("zigzag distances on reflexive digraphs", _cmd_zigzag, {
+        "dist": _GRAPH + _ENDS, "embeddable": _GRAPH, "fence": _GRAPH + _ENDS}),
+    "gms": ("finite generalized metric spaces", _cmd_gms, dict.fromkeys(
+        ("check", "hyperconvex", "fpp"), [("space", {"help": "space JSON file"})])),
+    "eqv": ("equivalence lattices", _cmd_eqv, {
+        **dict.fromkeys(("arithmetical", "crt", "extend"),
+                        [("input", {"help": "JSON input file"})]),
+        "orthogonal": _N + [("--block-size", {"type": int, "default": None})]}),
+    "zcong": ("congruence-preserving maps on Z", _cmd_zcong, {
+        "check": [("poly", {"help": "polynomial, e.g. 'x^2/2 - x/2' or 'C(x,2)'"})],
+        "gen": _N,
+        "extend": [("pairs", {"help": "JSON list of [point, value] pairs"}),
+                   ("z", {"type": int})],
+        "affine": [("grid", {"help": "grid map JSON file"})]}),
+    "semirigid": ("semirigid equivalence systems", _cmd_semirigid, {
+        "check": [("system", {"help": "system JSON file"})],
+        "zadori": _N + [_CHECK],
+        "plane": [("points", {"help": "plane point set JSON file"}),
+                  ("--monogenic", {"action": "store_true"}),
+                  ("--symmetry", {"action": "store_true"}), _CHECK]}),
+    "freemon": ("free-monoid factorization", _cmd_freemon, dict.fromkeys(
+        ("factor", "irreducible"),
+        [("antichain", {"help": "JSON list of generator strings"})])),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="gmspace",
@@ -361,74 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "involutive quantales")
     top.add_argument("--json", action="store_true", help="machine-readable report")
     sub = top.add_subparsers(dest="cmd", required=True)
-
-    zz = sub.add_parser("zigzag", help="zigzag distances on reflexive digraphs")
-    zzs = zz.add_subparsers(dest="zigzag_cmd", required=True)
-    for name in ("dist", "embeddable", "fence"):
-        p = zzs.add_parser(name)
-        p.add_argument("graph", help="graph JSON file")
-        if name in ("dist", "fence"):
-            p.add_argument("--from", dest="src", default=None)
-            p.add_argument("--to", dest="dst", default=None)
-        p.set_defaults(handler=_cmd_zigzag)
-
-    gm = sub.add_parser("gms", help="finite generalized metric spaces")
-    gms = gm.add_subparsers(dest="gms_cmd", required=True)
-    for name in ("check", "hyperconvex", "fpp"):
-        p = gms.add_parser(name)
-        p.add_argument("space", help="space JSON file")
-        p.set_defaults(handler=_cmd_gms)
-
-    eq = sub.add_parser("eqv", help="equivalence lattices")
-    eqs = eq.add_subparsers(dest="eqv_cmd", required=True)
-    for name in ("arithmetical", "crt", "extend"):
-        p = eqs.add_parser(name)
-        p.add_argument("input", help="JSON input file")
-        p.set_defaults(handler=_cmd_eqv)
-    p = eqs.add_parser("orthogonal")
-    p.add_argument("n", type=int)
-    p.add_argument("--block-size", type=int, default=None)
-    p.set_defaults(handler=_cmd_eqv)
-
-    zc = sub.add_parser("zcong", help="congruence-preserving maps on Z")
-    zcs = zc.add_subparsers(dest="zcong_cmd", required=True)
-    p = zcs.add_parser("check")
-    p.add_argument("poly", help="polynomial, e.g. 'x^2/2 - x/2' or 'C(x,2)'")
-    p.set_defaults(handler=_cmd_zcong)
-    p = zcs.add_parser("gen")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_zcong)
-    p = zcs.add_parser("extend")
-    p.add_argument("pairs", help="JSON list of [point, value] pairs")
-    p.add_argument("z", type=int)
-    p.set_defaults(handler=_cmd_zcong)
-    p = zcs.add_parser("affine")
-    p.add_argument("grid", help="grid map JSON file")
-    p.set_defaults(handler=_cmd_zcong)
-
-    sr = sub.add_parser("semirigid", help="semirigid equivalence systems")
-    srs = sr.add_subparsers(dest="semirigid_cmd", required=True)
-    p = srs.add_parser("check")
-    p.add_argument("system", help="system JSON file")
-    p.set_defaults(handler=_cmd_semirigid)
-    p = srs.add_parser("zadori")
-    p.add_argument("n", type=int)
-    p.add_argument("--check", action="store_true")
-    p.set_defaults(handler=_cmd_semirigid)
-    p = srs.add_parser("plane")
-    p.add_argument("points", help="plane point set JSON file")
-    p.add_argument("--monogenic", action="store_true")
-    p.add_argument("--symmetry", action="store_true")
-    p.add_argument("--check", action="store_true")
-    p.set_defaults(handler=_cmd_semirigid)
-
-    fm = sub.add_parser("freemon", help="free-monoid factorization")
-    fms = fm.add_subparsers(dest="freemon_cmd", required=True)
-    for name in ("factor", "irreducible"):
-        p = fms.add_parser(name)
-        p.add_argument("antichain", help="JSON list of generator strings")
-        p.set_defaults(handler=_cmd_freemon)
-
+    for name, (help_text, handler, subcommands) in COMMANDS.items():
+        subs = sub.add_parser(name, help=help_text).add_subparsers(
+            dest=f"{name}_cmd", required=True)
+        for sub_name, arguments in subcommands.items():
+            p = subs.add_parser(sub_name)
+            for argument, options in arguments:
+                p.add_argument(argument, **options)
+            p.set_defaults(handler=handler)
     return top
 
 
@@ -441,10 +406,7 @@ def dispatch(argv: list[str]) -> int:
     start = time.monotonic()
     try:
         code = args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # InputError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not args.json:

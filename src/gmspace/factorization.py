@@ -18,22 +18,19 @@ from itertools import combinations
 
 from .segments import FinalSegment, residual
 from .spaces import SizeGuard
-from .words import Word, is_antichain, minimize_words
+from .words import is_antichain, sort_codes
 
 
 class EmptySegment(ValueError):
     """Factorization is defined on nonempty final segments only."""
 
 
-def _proper_prefixes(f: FinalSegment) -> list[Word]:
-    seen = set()
-    for g in f.generators:
-        for k in range(1, len(g)):
-            seen.add(g.prefix(k))
-    return sorted(seen, key=Word.sort_key)
+def _proper_prefixes(f: FinalSegment) -> list[str]:
+    return sort_codes({g[:k] for g in f.generators for k in range(1, len(g))})
 
 
-def _candidate_antichains(prefixes: list[Word], guard: int = 1 << 16):
+def _candidate_antichains(prefixes: list[str], guard: int = 1 << 16):
+    """Antichains among the sorted prefixes; each comes out sorted."""
     count = 0
     for r in range(1, len(prefixes) + 1):
         for combo in combinations(prefixes, r):
@@ -62,7 +59,7 @@ def decompose_once(f: FinalSegment) -> tuple[tuple[FinalSegment, FinalSegment], 
         raise EmptySegment("cannot decompose the empty segment")
     out = []
     for combo in _candidate_antichains(_proper_prefixes(f)):
-        g = FinalSegment(f.alphabet, minimize_words(combo))
+        g = FinalSegment._canonical(f.alphabet, combo)
         if g.is_zero():
             continue
         h = left_partner(f, g)
@@ -70,7 +67,7 @@ def decompose_once(f: FinalSegment) -> tuple[tuple[FinalSegment, FinalSegment], 
             continue
         if g.oplus(h) == f:
             out.append((g, h))
-    out.sort(key=lambda gh: tuple(w.sort_key() for w in gh[0].generators))
+    out.sort(key=lambda gh: tuple((len(w), w) for w in gh[0].generators))
     return tuple(out)
 
 

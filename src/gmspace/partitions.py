@@ -355,20 +355,21 @@ def orthogonal(rho: Partition, tau: Partition) -> bool:
 def all_partitions(carrier: Sequence):
     """Every partition of the carrier (restricted-growth enumeration)."""
     carrier = tuple(carrier)
-    if not carrier:
+    if carrier:
+        yield from _partitions_from(carrier, 0, [])
+
+
+def _partitions_from(carrier: tuple, i: int, blocks: list):
+    if i == len(carrier):
+        yield Partition.from_blocks(carrier, [list(b) for b in blocks])
         return
-    def rec(i, blocks):
-        if i == len(carrier):
-            yield Partition.from_blocks(carrier, [list(b) for b in blocks])
-            return
-        for b in blocks:
-            b.append(carrier[i])
-            yield from rec(i + 1, blocks)
-            b.pop()
-        blocks.append([carrier[i]])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
-    yield from rec(0, [])
+    for b in blocks:
+        b.append(carrier[i])
+        yield from _partitions_from(carrier, i + 1, blocks)
+        b.pop()
+    blocks.append([carrier[i]])
+    yield from _partitions_from(carrier, i + 1, blocks)
+    blocks.pop()
 
 
 def orthogonal_family_search(n: int, block_size: Optional[int] = None,
@@ -391,16 +392,17 @@ def orthogonal_family_search(n: int, block_size: Optional[int] = None,
     adj = {(i, j): orthogonal(cands[i], cands[j])
            for i in range(len(cands)) for j in range(i + 1, len(cands))}
     best: list[int] = []
-
-    def extend(chosen: list[int], rest: list[int]):
-        nonlocal best
-        if len(chosen) > len(best):
-            best = list(chosen)
-        for k, i in enumerate(rest):
-            if len(chosen) + len(rest) - k <= len(best):
-                break  # cannot beat the incumbent
-            filtered = [j for j in rest[k + 1:] if adj[(i, j)]]
-            extend(chosen + [i], filtered)
-
-    extend([], list(range(len(cands))))
+    _extend_clique(adj, [], list(range(len(cands))), best)
     return [cands[i] for i in best]
+
+
+def _extend_clique(adj: dict, chosen: list[int], rest: list[int],
+                   best: list[int]) -> None:
+    """Branch and bound for a largest clique; ``best`` is updated in place."""
+    if len(chosen) > len(best):
+        best[:] = chosen
+    for k, i in enumerate(rest):
+        if len(chosen) + len(rest) - k <= len(best):
+            break  # cannot beat the incumbent
+        filtered = [j for j in rest[k + 1:] if adj[(i, j)]]
+        _extend_clique(adj, chosen + [i], filtered, best)

@@ -1,10 +1,19 @@
 """The involutive quantale of final segments of words.
 
 A final segment (upset) is represented canonically by its finite antichain
-of minimal words, sorted length-then-lex.  The quantale order is reverse
-inclusion, so the least element 0 is the full word set, represented by the
-antichain containing only the empty word; the empty set is the antichain ().
-Words are ordered by subword embedding under the discrete letter order.
+of minimal words, a tuple of codes (see ``words``) sorted length-then-lex.
+The quantale order is reverse inclusion, so the least element 0 is the full
+word set, represented by the antichain containing only the empty word; the
+empty set is the antichain ().  Words are ordered by subword embedding under
+the discrete letter order.
+
+Results known to be canonical are not re-minimized.  If u and v are
+incomparable, so are uw and vw (uw <= vw forces u <= v), and wu and wv, and
+appending or prepending w keeps the length-then-lex order: ``oplus`` by a
+one-generator segment, on either side, is a plain map.  ``involute`` keeps
+the antichain and only re-sorts, and ``meet`` compares only pairs across its
+two antichains.  The constructor checks canonical form; the kernel builds
+its results through ``FinalSegment._canonical``.
 """
 from __future__ import annotations
 
@@ -14,7 +23,18 @@ from typing import Iterable, Optional
 
 from . import automata
 from .words import PLUS_MINUS, Alphabet, AlphabetMismatch, Word, all_words, \
-    greedy_prefix_match, minimal_common_superwords, minimize_words
+    covers, greedy_prefix_match, minimal_common_superwords, minimize_words, \
+    sort_codes
+
+
+def meet_antichains(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
+    """Minimal codes of the union of two sorted antichains, or ``a`` itself
+    when ``a`` covers all of ``b``: the codes of b that a does not cover are
+    new, and a code of a stays unless a new code embeds into it."""
+    fresh = [y for y in b if not covers(a, y)]
+    if not fresh:
+        return a
+    return tuple(sort_codes([x for x in a if not covers(fresh, x)] + fresh))
 
 
 @dataclass(frozen=True)
@@ -22,44 +42,66 @@ class FinalSegment:
     """Upward-closed word set, canonically generated by a minimal antichain."""
 
     alphabet: Alphabet
-    generators: tuple[Word, ...]
+    generators: tuple[str, ...]
+
+    def __post_init__(self):
+        gens = self.generators
+        if not (isinstance(gens, tuple) and all(isinstance(g, str) for g in gens)):
+            raise ValueError("generators must be a tuple of codes")
+        if any(ord(c) not in self.alphabet._text for g in gens for c in g):
+            raise ValueError("generator code outside the alphabet")
+        if minimize_words(gens) != gens:
+            raise ValueError("generators must be a sorted antichain")
+
+    @classmethod
+    def _canonical(cls, alphabet: Alphabet, gens: tuple[str, ...]) -> FinalSegment:
+        """The segment of generators already known to be canonical."""
+        seg = object.__new__(cls)
+        object.__setattr__(seg, "alphabet", alphabet)
+        object.__setattr__(seg, "generators", gens)
+        return seg
 
     @classmethod
     def of(cls, alphabet: Alphabet, words: Iterable[Word | str]) -> FinalSegment:
-        ws = [w if isinstance(w, Word) else Word.parse(w, alphabet) for w in words]
-        for w in ws:
-            if w.alphabet != alphabet:
+        """The upset of any words; a string is read one character per letter."""
+        codes = []
+        for w in words:
+            if isinstance(w, Word) and not w.alphabet.same(alphabet):
                 raise AlphabetMismatch("generator over a different alphabet")
-        return cls(alphabet, minimize_words(ws))
+            codes.append(w.code if isinstance(w, Word) else alphabet.encode(w))
+        return cls._canonical(alphabet, minimize_words(codes))
 
     @classmethod
     def zero(cls, alphabet: Alphabet = PLUS_MINUS) -> FinalSegment:
         """The least element: the set of all words."""
-        return cls(alphabet, (Word(alphabet, ()),))
+        return cls._canonical(alphabet, ("",))
 
     @classmethod
     def empty(cls, alphabet: Alphabet = PLUS_MINUS) -> FinalSegment:
         """The empty word set (the top element)."""
-        return cls(alphabet, ())
+        return cls._canonical(alphabet, ())
 
     def is_zero(self) -> bool:
-        return len(self.generators) == 1 and self.generators[0].is_empty()
+        return self.generators == ("",)
 
     def is_empty_set(self) -> bool:
         return not self.generators
 
     def contains(self, w: Word) -> bool:
-        return any(g <= w for g in self.generators)
+        if not w.alphabet.same(self.alphabet):
+            raise AlphabetMismatch("word over a different alphabet")
+        return covers(self.generators, w.code)
 
     def leq(self, other: FinalSegment) -> bool:
         """Quantale order: self <= other iff self contains other as a set."""
         self._check(other)
-        return all(self.contains(g) for g in other.generators)
+        return all(covers(self.generators, h) for h in other.generators)
 
     def meet(self, other: FinalSegment) -> FinalSegment:
-        """Lattice meet = set union, re-minimized."""
+        """Lattice meet = set union."""
         self._check(other)
-        return FinalSegment.of(self.alphabet, self.generators + other.generators)
+        return FinalSegment._canonical(
+            self.alphabet, meet_antichains(self.generators, other.generators))
 
     def join(self, other: FinalSegment) -> FinalSegment:
         """Lattice join = set intersection.
@@ -74,24 +116,34 @@ class FinalSegment:
             return self
         merged = [w for g in self.generators for h in other.generators
                   for w in minimal_common_superwords(g, h)]
-        return FinalSegment.of(self.alphabet, merged)
+        return FinalSegment._canonical(self.alphabet, minimize_words(merged))
 
     def oplus(self, other: FinalSegment) -> FinalSegment:
-        """Monoid operation: pointwise concatenation, re-minimized."""
+        """Monoid operation: pointwise concatenation; a one-generator factor
+        on either side maps the other's antichain without re-minimizing."""
         self._check(other)
-        return FinalSegment.of(self.alphabet,
-                               [g + h for g in self.generators
-                                for h in other.generators])
+        a, b = self.generators, other.generators
+        if len(b) == 1:
+            gens = tuple([g + b[0] for g in a])
+        elif len(a) == 1:
+            gens = tuple([a[0] + h for h in b])
+        else:
+            gens = minimize_words([g + h for g in a for h in b])
+        return FinalSegment._canonical(self.alphabet, gens)
 
     def involute(self) -> FinalSegment:
-        return FinalSegment.of(self.alphabet,
-                               [g.involute() for g in self.generators])
+        """Involution keeps the antichain, so it only re-sorts."""
+        inv = self.alphabet.involute
+        return FinalSegment._canonical(
+            self.alphabet, tuple(sort_codes([inv(g) for g in self.generators])))
 
     def to_automaton(self) -> automata.Automaton:
-        return automata.upset_automaton(self.alphabet, self.generators)
+        return automata.upset_automaton(
+            self.alphabet, [Word.from_code(self.alphabet, g)
+                            for g in self.generators])
 
     def to_json(self) -> list[str]:
-        return [str(g) for g in self.generators]
+        return [self.alphabet.text(g) for g in self.generators]
 
     @classmethod
     def from_json(cls, payload: Iterable[str],
@@ -99,33 +151,22 @@ class FinalSegment:
         return cls.of(alphabet, list(payload))
 
     def _check(self, other: FinalSegment):
-        if self.alphabet != other.alphabet:
+        if not self.alphabet.same(other.alphabet):
             raise AlphabetMismatch("final segments over different alphabets")
 
     def __str__(self) -> str:
-        return "{" + ", ".join(str(g) or "□" for g in self.generators) + "}"
-
-
-def word_quotient_upset(v: FinalSegment, g: Word, side: str) -> FinalSegment:
-    """{u : ug in v} or {u : gu in v}, at the antichain level: the greedy
-    maximal prefix (suffix) of each generator embeds into g and the rest is
-    the quotient generator."""
-    if side == "left":
-        rest = [x.suffix_from(greedy_prefix_match(x, g)) for x in v.generators]
-    elif side == "right":
-        rest = [x.prefix(len(x) - greedy_prefix_match(x.involute(), g.involute()))
-                for x in v.generators]
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    return FinalSegment.of(v.alphabet, rest)
+        return "{" + ", ".join(self.alphabet.text(g) or "□"
+                               for g in self.generators) + "}"
 
 
 def residual(v: FinalSegment, b: FinalSegment, side: str) -> FinalSegment:
     """Least r (in the quantale order) with v <= r (+) b  (side='right')
     or v <= b (+) r  (side='left').
 
-    The intersection of word quotients by the generators of b: quantifying
-    over minimal words suffices because v is upward-closed.
+    The intersection of the word quotients {u : ug in v} (or {u : gu in v})
+    by the generators g of b: quantifying over minimal words suffices because
+    v is upward-closed.  A quotient is generated by what is left of each
+    generator of v after its greedy maximal prefix (suffix) embedded into g.
     """
     v._check(b)
     if side not in ("left", "right"):
@@ -134,7 +175,12 @@ def residual(v: FinalSegment, b: FinalSegment, side: str) -> FinalSegment:
         return FinalSegment.zero(v.alphabet)
     out: Optional[FinalSegment] = None
     for g in b.generators:
-        quo = word_quotient_upset(v, g, side)
+        if side == "left":
+            rest = [x[greedy_prefix_match(x, g):] for x in v.generators]
+        else:
+            rest = [x[:len(x) - greedy_prefix_match(x[::-1], g[::-1])]
+                    for x in v.generators]
+        quo = FinalSegment._canonical(v.alphabet, minimize_words(rest))
         out = quo if out is None else out.join(quo)
     return out
 
@@ -218,7 +264,8 @@ def is_accessible(v: FinalSegment, candidates: Iterable[FinalSegment]) -> bool:
 
 def principal_upsets(alphabet: Alphabet, max_len: int) -> list[FinalSegment]:
     """All principal final segments generated by one word of length <= max_len."""
-    return [FinalSegment(alphabet, (w,)) for w in all_words(alphabet, max_len)]
+    return [FinalSegment._canonical(alphabet, (w.code,))
+            for w in all_words(alphabet, max_len)]
 
 
 def default_accessibility_candidates(v: FinalSegment) -> list[FinalSegment]:

@@ -166,42 +166,6 @@ def is_semirigid(system: EquivSystem, guard: int = 12
         return order
 
     exhausted = [set() for _ in carrier]
-
-    def search(assign, domains, seed_limits) -> Optional[dict]:
-        if len(assign) == n:
-            return dict(assign) if _is_witness(range(n), assign) else None
-        x = min((y for y in range(n) if y not in assign),
-                key=lambda y: len(domains[y]))
-        seed_ok = seed_limits.get(x)
-        for v in domains[x]:
-            if v in exhausted[x] or (seed_ok is not None and v not in seed_ok):
-                continue
-            assign[x] = v
-            limits = allowed[x][v]
-            pruned = {}
-            dead = False
-            for y in range(n):
-                if y in assign:
-                    continue
-                ok = limits.get(y)
-                if y in seed_limits:
-                    ok = seed_limits[y] if ok is None else ok & seed_limits[y]
-                old = domains[y]
-                keep = rebuilt(old if ok is None else
-                               tuple(w for w in old if w in ok))
-                pruned[y] = old
-                domains[y] = keep
-                if exhausted[y].issuperset(keep):
-                    dead = True
-                    break
-            if not dead:
-                found = search(assign, domains, {})
-                if found:
-                    return found
-            domains.update(pruned)
-            del assign[x]
-        return None
-
     everything = rebuilt(tuple(range(n)))
     for x0 in range(n):
         for v0 in range(n):
@@ -209,8 +173,8 @@ def is_semirigid(system: EquivSystem, guard: int = 12
                 continue
             # the seed pair narrows the root domains only as each is branched
             # on or rebuilt, so that the root's variable order is unchanged
-            found = search({x0: v0}, dict.fromkeys(range(n), everything),
-                           allowed[x0][v0])
+            found = _search(allowed, exhausted, rebuilt, {x0: v0},
+                            dict.fromkeys(range(n), everything), allowed[x0][v0])
             if found:
                 witness = {carrier[i]: carrier[v] for i, v in found.items()}
                 if not (system.preserves(witness)
@@ -221,6 +185,45 @@ def is_semirigid(system: EquivSystem, guard: int = 12
                 return False, witness
             exhausted[x0].add(v0)
     return True, None
+
+
+def _search(allowed, exhausted, rebuilt, assign, domains, seed_limits
+            ) -> Optional[dict]:
+    """One level of the `is_semirigid` search; no closure holds its tables."""
+    n = len(allowed)
+    if len(assign) == n:
+        return dict(assign) if _is_witness(range(n), assign) else None
+    x = min((y for y in range(n) if y not in assign),
+            key=lambda y: len(domains[y]))
+    seed_ok = seed_limits.get(x)
+    for v in domains[x]:
+        if v in exhausted[x] or (seed_ok is not None and v not in seed_ok):
+            continue
+        assign[x] = v
+        limits = allowed[x][v]
+        pruned = {}
+        dead = False
+        for y in range(n):
+            if y in assign:
+                continue
+            ok = limits.get(y)
+            if y in seed_limits:
+                ok = seed_limits[y] if ok is None else ok & seed_limits[y]
+            old = domains[y]
+            keep = rebuilt(old if ok is None else
+                           tuple(w for w in old if w in ok))
+            pruned[y] = old
+            domains[y] = keep
+            if exhausted[y].issuperset(keep):
+                dead = True
+                break
+        if not dead:
+            found = _search(allowed, exhausted, rebuilt, assign, domains, {})
+            if found:
+                return found
+        domains.update(pruned)
+        del assign[x]
+    return None
 
 
 def _allowed_by(system: EquivSystem, index: dict) -> list[list[dict]]:
@@ -369,10 +372,6 @@ def system_isomorphism(a: EquivSystem, b: EquivSystem) -> Optional[dict]:
             len(a.relations) != len(b.relations):
         return None
 
-    def profile(system, x, perm):
-        return tuple(len(system.relations[i].block_of(x))
-                     for i in perm)
-
     for perm in itertools.permutations(range(len(b.relations))):
         sizes_a = sorted(sorted(len(blk) for blk in r.blocks)
                          for r in a.relations)
@@ -383,28 +382,30 @@ def system_isomorphism(a: EquivSystem, b: EquivSystem) -> Optional[dict]:
             continue
         prof_b: dict = {}
         for y in b.carrier:
-            prof_b.setdefault(profile(b, y, perm), []).append(y)
-
-        def backtrack(assign: dict) -> Optional[dict]:
-            if len(assign) == len(a.carrier):
-                return dict(assign)
-            x = next(z for z in a.carrier if z not in assign)
-            for y in prof_b.get(profile(a, x, range(len(a.relations))), []):
-                if y in assign.values():
-                    continue
-                ok = all(a.relations[i].same(x, z) ==
-                         b.relations[perm[i]].same(y, w)
-                         for i in range(len(a.relations))
-                         for z, w in assign.items())
-                if ok:
-                    assign[x] = y
-                    found = backtrack(assign)
-                    if found:
-                        return found
-                    del assign[x]
-            return None
-
-        iso = backtrack({})
+            prof_b.setdefault(_profile(b, y, perm), []).append(y)
+        iso = _backtrack_iso(a, b, perm, prof_b, {})
         if iso:
             return iso
+    return None
+
+
+def _profile(system, x, perm):
+    return tuple(len(system.relations[i].block_of(x)) for i in perm)
+
+
+def _backtrack_iso(a, b, perm, prof_b, assign: dict) -> Optional[dict]:
+    if len(assign) == len(a.carrier):
+        return dict(assign)
+    x = next(z for z in a.carrier if z not in assign)
+    for y in prof_b.get(_profile(a, x, range(len(a.relations))), []):
+        if y in assign.values():
+            continue
+        ok = all(a.relations[i].same(x, z) == b.relations[perm[i]].same(y, w)
+                 for i in range(len(a.relations)) for z, w in assign.items())
+        if ok:
+            assign[x] = y
+            found = _backtrack_iso(a, b, perm, prof_b, assign)
+            if found:
+                return found
+            del assign[x]
     return None

@@ -304,30 +304,9 @@ class FiniteGms:
         return True
 
     def is_hyperconvex(self) -> bool:
-        """Convexity plus the 2-Helly property; cross-checked against direct
-        enumeration of compatible ball families on very small spaces."""
-        result = self.is_convex() and self.is_2helly()
-        if len(self.points) <= 3 and len(self.monoid.elements) <= 4:
-            direct = self._hyperconvex_by_enumeration()
-            if direct != result:
-                raise AssertionError("hyperconvexity checkers disagree: engine bug")
-        return result
-
-    def _hyperconvex_by_enumeration(self) -> bool:
-        # compatibility between centers: d(x_i, x_j) <= r_i + inv(r_j)
-        m = self.monoid
-        balls = [(x, r) for x in self.points for r in m.elements]
-        for k in range(1, len(balls) + 1):
-            for family in itertools.combinations(balls, k):
-                ok = all(m.leq(self.d(xi, xj), m.oplus(ri, m.inv(rj)))
-                         for xi, ri in family for xj, rj in family)
-                if ok:
-                    common = frozenset(self.points)
-                    for x, r in family:
-                        common &= self.ball(x, r)
-                    if not common:
-                        return False
-        return True
+        """Convexity plus the 2-Helly property (the tests compare it with a
+        direct enumeration of compatible ball families)."""
+        return self.is_convex() and self.is_2helly()
 
     def diameter(self, subset: Optional[Iterable] = None):
         pts = list(self.points if subset is None else subset)
@@ -405,28 +384,27 @@ class FiniteGms:
         """
         if len(self.points) > guard:
             raise SizeGuard(f"{len(self.points)} points exceeds the guard {guard}")
-        m, pts = self.monoid, self.points
-        assign: dict = {}
-
-        def extend(i: int) -> Optional[dict]:
-            if i == len(pts):
-                return dict(assign)
-            x = pts[i]
-            for v in pts:
-                if v == x:
-                    continue
-                if all(m.leq(self.d(v, assign[y]), self.d(x, y))
-                       and m.leq(self.d(assign[y], v), self.d(y, x))
-                       for y in assign):
-                    assign[x] = v
-                    found = extend(i + 1)
-                    if found:
-                        return found
-                    del assign[x]
-            return None
-
-        witness = extend(0)
+        witness = self._fpp_extend({}, 0)
         return (witness is None), witness
+
+    def _fpp_extend(self, assign: dict, i: int) -> Optional[dict]:
+        """Extend a fixed-point-free partial map to the points from i on."""
+        m, pts = self.monoid, self.points
+        if i == len(pts):
+            return dict(assign)
+        x = pts[i]
+        for v in pts:
+            if v == x:
+                continue
+            if all(m.leq(self.d(v, assign[y]), self.d(x, y))
+                   and m.leq(self.d(assign[y], v), self.d(y, x))
+                   for y in assign):
+                assign[x] = v
+                found = self._fpp_extend(assign, i + 1)
+                if found:
+                    return found
+                del assign[x]
+        return None
 
     def commuting_fpp_check(self, maps: Sequence[Mapping]) -> bool:
         """Common fixed point of a commuting family of non-expansive maps."""

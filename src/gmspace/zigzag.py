@@ -4,7 +4,10 @@ The distance from x to y is the upward-closed set of +/- words coding the
 zigzags that map homomorphically into the graph from x to y.  The row d(x, .)
 is the least solution of the triangle inequality over the one-step
 distances, computed by relaxation in the quantale of final segments; a
-single pair and the full matrix both read off such rows.
+single pair and the full matrix both read off such rows.  A row is relaxed
+on tuples of generator codes (see ``words``): a step is ``oplus`` by {+} or
+{-}, which appends one letter to every generator and keeps the antichain
+sorted and incomparable, so only the meet compares words.
 """
 from __future__ import annotations
 
@@ -12,8 +15,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .segments import FinalSegment, in_macneille
-from .words import PLUS_MINUS, Word
+from .segments import FinalSegment, in_macneille, meet_antichains
+from .words import PLUS_MINUS, Word, covers
 
 
 @dataclass(frozen=True)
@@ -69,16 +72,15 @@ def _distances_from(g: ReflexiveDigraph, x: str) -> list[FinalSegment]:
     """
     ix = g._index(x)
     pos = {v: i for i, v in enumerate(g.vertices)}
-    plus = FinalSegment.of(PLUS_MINUS, ["+"])
-    minus = FinalSegment.of(PLUS_MINUS, ["-"])
     forward: list[list[int]] = [[] for _ in g.vertices]
     backward: list[list[int]] = [[] for _ in g.vertices]
     for a, b in sorted(g.edges):  # a fixed order: the same work on every run
         if a != b:
             forward[pos[a]].append(pos[b])
             backward[pos[b]].append(pos[a])
-    r = [FinalSegment.empty(PLUS_MINUS)] * len(g.vertices)
-    r[ix] = FinalSegment.zero(PLUS_MINUS)
+    plus, minus = PLUS_MINUS.encode("+"), PLUS_MINUS.encode("-")
+    r: list[tuple[str, ...]] = [()] * len(g.vertices)
+    r[ix] = ("",)
     queue = deque([ix])
     queued = {ix}
     while queue:
@@ -87,15 +89,16 @@ def _distances_from(g: ReflexiveDigraph, x: str) -> list[FinalSegment]:
         for step, targets in ((plus, forward[k]), (minus, backward[k])):
             if not targets:
                 continue
-            reach = r[k].oplus(step)
+            reach = tuple([w + step for w in r[k]])
             for j in targets:
-                if r[j].leq(reach):
+                new = meet_antichains(r[j], reach)
+                if new is r[j]:
                     continue
-                r[j] = r[j].meet(reach)
+                r[j] = new
                 if j not in queued:
                     queued.add(j)
                     queue.append(j)
-    return r
+    return [FinalSegment._canonical(PLUS_MINUS, row) for row in r]
 
 
 def zigzag_distance(g: ReflexiveDigraph, x: str, y: str) -> FinalSegment:
@@ -177,15 +180,16 @@ def satisfies_graph_condition(m: DistanceMatrix) -> tuple[bool, Optional[tuple]]
     if bad:
         raise ValueError(f"distance matrix violates the axioms: {bad[0]}")
     vs = m.vertices
+    gens = [[e.generators for e in row] for row in m.entries]
     for i, x in enumerate(vs):
         for j, y in enumerate(vs):
-            for word in m.entries[i][j].generators:
+            for word in gens[i][j]:
                 for cut in range(len(word) + 1):
-                    u, v = word.prefix(cut), word.suffix_from(cut)
-                    if not any(m.entries[i][k].contains(u)
-                               and m.entries[k][j].contains(v)
+                    u, v = word[:cut], word[cut:]
+                    if not any(covers(gens[i][k], u) and covers(gens[k][j], v)
                                for k in range(len(vs))):
-                        return False, (x, y, u, v)
+                        return False, (x, y, Word.from_code(PLUS_MINUS, u),
+                                       Word.from_code(PLUS_MINUS, v))
     return True, None
 
 

@@ -3,6 +3,8 @@ import time
 
 import pytest
 
+from gmspace.automata import (Automaton, complement, determinize, insert_one_letter,
+                              intersect, is_empty)
 from gmspace.segments import FinalSegment
 from gmspace.words import PLUS_MINUS, Word, all_words
 
@@ -50,3 +52,43 @@ class Budget:
         print(f"{self.name}: {verdict} in {elapsed:.1f}s "
               f"(budget {self.seconds}s)")
         assert elapsed < self.seconds, f"{self.name} exceeded its budget"
+
+
+# Acceptor helpers: no production path uses them, so they live with the tests.
+
+
+def accepts(aut: Automaton, w: Word) -> bool:
+    states = aut.initial
+    for a in w.letters:
+        if not states:
+            return False
+        states = aut.step(states, a)
+    return bool(states & aut.accepting)
+
+
+def is_upward_closed(aut: Automaton) -> bool:
+    """Decide L = up(L): every one-letter insertion into an accepted word
+    must stay in the language."""
+    bigger = insert_one_letter(aut)
+    return is_empty(intersect(bigger, complement(determinize(aut))))
+
+
+def word_quotient(aut: Automaton, w: Word, side: str) -> Automaton:
+    """Right quotient {u : uw in L} or left quotient {u : wu in L}."""
+    if side == "right":
+        accepting = set()
+        for p in range(aut.num_states):
+            states = frozenset({p})
+            for a in w.letters:
+                states = aut.step(states, a)
+            if states & aut.accepting:
+                accepting.add(p)
+        return Automaton(aut.alphabet, aut.num_states, aut.transitions,
+                         aut.initial, frozenset(accepting))
+    if side == "left":
+        states = aut.initial
+        for a in w.letters:
+            states = aut.step(states, a)
+        return Automaton(aut.alphabet, aut.num_states, aut.transitions,
+                         frozenset(states), aut.accepting)
+    raise ValueError("side must be 'left' or 'right'")

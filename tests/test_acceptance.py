@@ -46,7 +46,8 @@ def test_criterion_2_minimal_antichain_oracle():
     pool = [v for v in all_words(A, 4) if len(v)]
     with Budget("criterion 2 (minimal antichain vs naive minimality)", 10):
         for _ in range(20):
-            gens = minimize_words(rng.sample(pool, rng.randint(1, 5)))
+            gens = [Word.from_code(A, c) for c in minimize_words(
+                v.code for v in rng.sample(pool, rng.randint(1, 5)))]
             aut = automata.upset_automaton(A, gens)
             members = set(naive_upset_members(gens, 6))
             naive_min = [v for v in sorted(members, key=Word.sort_key)
@@ -85,7 +86,7 @@ def test_criterion_4_macneille_and_embeddability():
                     return False
         return True
 
-    pool = list(all_words(A, 2))
+    pool = [v.code for v in all_words(A, 2)]
     with Budget("criterion 4 (cancellation rule, oriented embeddability)", 30):
         for r in range(len(pool) + 1):
             for combo in itertools.combinations(pool, r):
@@ -310,7 +311,7 @@ def test_criterion_9_semirigidity():
 
 
 def test_criterion_10_free_factorization():
-    pool = list(all_words(A, 3))
+    pool = [v.code for v in all_words(A, 3)]
     with Budget("criterion 10 (unique factorization into irreducibles)", 60):
         count = 0
         for r in range(1, len(pool) + 1):

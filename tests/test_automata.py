@@ -4,15 +4,15 @@ from itertools import combinations
 import pytest
 
 from gmspace import automata
-from gmspace.automata import (NotUpwardClosed, accepts, complement,
-                              determinize, enumerate_finite, insert_one_letter,
-                              intersect, is_empty, is_finite, is_upward_closed,
-                              minimal_antichain, upset_automaton,
-                              word_quotient)
+from gmspace.automata import (NotUpwardClosed, complement, determinize,
+                              enumerate_finite, insert_one_letter, intersect,
+                              is_empty, is_finite, minimal_antichain,
+                              upset_automaton)
 from gmspace.words import PLUS_MINUS, Word, all_words, is_antichain, \
     minimize_words
 
-from conftest import w, naive_upset_members
+from conftest import (accepts, is_upward_closed, naive_upset_members, w,
+                      word_quotient)
 
 A = PLUS_MINUS
 
@@ -39,7 +39,8 @@ def test_upset_language_matches_naive_membership():
     for _ in range(30):
         gens = rng.sample(pool, rng.randint(1, 4))
         aut = upset_automaton(A, gens)
-        assert lang(aut, 4) == naive_upset_members(minimize_words(gens), 4)
+        minimal = [Word.from_code(A, c) for c in minimize_words(v.code for v in gens)]
+        assert lang(aut, 4) == naive_upset_members(minimal, 4)
 
 
 def test_insert_one_letter_examples():
@@ -100,7 +101,7 @@ def all_antichains(max_len):
     pool = list(all_words(A, max_len))
     for r in range(len(pool) + 1):
         for combo in combinations(pool, r):
-            if is_antichain(combo):
+            if is_antichain(v.code for v in combo):
                 yield combo
 
 
@@ -121,10 +122,20 @@ def test_min_agrees_with_naive_minimality_on_random_upsets():
     rng = random.Random(42)
     pool = [v for v in all_words(A, 4) if len(v)]
     for _ in range(20):
-        gens = minimize_words(rng.sample(pool, rng.randint(1, 5)))
+        gens = [Word.from_code(A, c) for c in minimize_words(
+            v.code for v in rng.sample(pool, rng.randint(1, 5)))]
         aut = upset_automaton(A, gens)
         members = set(naive_upset_members(gens, 6))
         naive_min = [v for v in sorted(members, key=Word.sort_key)
                      if not any(u <= v and u != v for u in members)]
         assert list(minimal_antichain(aut)) == naive_min
 
+
+
+def test_enumerate_finite_of_a_long_word_needs_no_recursion():
+    word = w("+-" * 600 + "+")
+    chain = automata.Automaton(
+        A, len(word) + 1,
+        frozenset((i, a, i + 1) for i, a in enumerate(word.letters)),
+        frozenset({0}), frozenset({len(word)}))
+    assert enumerate_finite(chain) == [word]

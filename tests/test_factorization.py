@@ -61,7 +61,7 @@ def test_partner_is_canonical():
 
 
 def test_unique_factorization_small_exhaustive():
-    pool = list(all_words(A, 2))
+    pool = [v.code for v in all_words(A, 2)]
     for r in range(1, len(pool) + 1):
         for combo in combinations(pool, r):
             if not is_antichain(combo):

@@ -7,10 +7,10 @@ from gmspace import automata
 from gmspace.segments import (FinalSegment, default_accessibility_candidates,
                               in_macneille, is_accessible, is_self_dual,
                               principal_upsets, residual, residual_distance)
-from gmspace.words import PLUS_MINUS, AlphabetMismatch, all_words, \
+from gmspace.words import PLUS_MINUS, AlphabetMismatch, Word, all_words, \
     is_antichain
 
-from conftest import w, seg, random_segment
+from conftest import w, seg, random_segment, word_quotient
 
 A = PLUS_MINUS
 ZERO = FinalSegment.zero(A)
@@ -119,10 +119,14 @@ def test_distance_is_least_of_its_defining_set():
                 assert d.leq(r)
 
 
+def codes(words):
+    return tuple(x.code for x in words)
+
+
 def join_via_automata(p, q):
     """Oracle: minimal words of the product acceptor of the two upsets."""
     prod = automata.intersect(p.to_automaton(), q.to_automaton())
-    return FinalSegment(p.alphabet, automata.minimal_antichain(prod))
+    return FinalSegment(p.alphabet, codes(automata.minimal_antichain(prod)))
 
 
 def residual_via_automata(v, b, side):
@@ -131,9 +135,9 @@ def residual_via_automata(v, b, side):
         return FinalSegment.zero(v.alphabet)
     aut = None
     for g in b.generators:
-        quo = automata.word_quotient(v.to_automaton(), g, side)
+        quo = word_quotient(v.to_automaton(), Word.from_code(v.alphabet, g), side)
         aut = quo if aut is None else automata.intersect(aut, quo)
-    return FinalSegment(v.alphabet, automata.minimal_antichain(aut))
+    return FinalSegment(v.alphabet, codes(automata.minimal_antichain(aut)))
 
 
 def test_antichain_routes_agree_with_automata_routes():
@@ -146,7 +150,7 @@ def test_antichain_routes_agree_with_automata_routes():
 
 
 def all_segments_with_gens_up_to(max_len):
-    pool = list(all_words(A, max_len))
+    pool = [v.code for v in all_words(A, max_len)]
     for r in range(len(pool) + 1):
         for combo in combinations(pool, r):
             if is_antichain(combo):

@@ -233,3 +233,46 @@ def test_space_json_round_trip():
     sp = space_from_json(payload)
     assert sp.check_axioms() == []
     assert sp.d("x", "y") == 1
+
+
+def hyperconvex_by_enumeration(space):
+    """Oracle: every family of balls whose centres are compatible,
+    d(x_i, x_j) <= r_i + inv(r_j), has a common point."""
+    m = space.monoid
+    balls = [(x, r) for x in space.points for r in m.elements]
+    for k in range(1, len(balls) + 1):
+        for family in itertools.combinations(balls, k):
+            if all(m.leq(space.d(xi, xj), m.oplus(ri, m.inv(rj)))
+                   for xi, ri in family for xj, rj in family):
+                common = frozenset(space.points)
+                for x, r in family:
+                    common &= space.ball(x, r)
+                if not common:
+                    return False
+    return True
+
+
+def small_spaces():
+    """Every space on 1-3 points whose distances satisfy the axioms, over
+    monoids with at most four elements."""
+    monoids = [MonoidTable.chain(1), MonoidTable.chain(2), MonoidTable.chain(3),
+               MonoidTable.boolean("ab"), MonoidTable.involutive_four()]
+    for mon in monoids:
+        for n in (1, 2, 3):
+            pts = [f"p{i}" for i in range(n)]
+            pairs = list(itertools.combinations(pts, 2))
+            for values in itertools.product(mon.elements, repeat=len(pairs)):
+                dist = {(x, x): mon.zero for x in pts}
+                for (x, y), v in zip(pairs, values):
+                    dist[(x, y)], dist[(y, x)] = v, mon.inv(v)
+                space = FiniteGms(pts, mon, dist)
+                if not space.check_axioms():
+                    yield space
+
+
+def test_hyperconvexity_matches_ball_family_enumeration():
+    spaces = list(small_spaces())
+    verdicts = [sp.is_hyperconvex() for sp in spaces]
+    assert len(spaces) > 50 and any(verdicts) and not all(verdicts)
+    for sp, got in zip(spaces, verdicts):
+        assert got == hyperconvex_by_enumeration(sp), (sp.points, sp.monoid.elements)

@@ -12,7 +12,7 @@ from gmspace.zigzag import (DistanceMatrix, ReflexiveDigraph, distance_matrix,
                             is_nonexpansive, oriented_embeddable,
                             satisfies_graph_condition, zigzag_distance)
 
-from conftest import seg
+from conftest import accepts, seg
 
 A = PLUS_MINUS
 
@@ -47,7 +47,8 @@ def zigzag_automaton(g, x, y):
 
 def acceptor_distance(g, x, y):
     """Oracle: the minimal antichain of the zigzag acceptor's language."""
-    return FinalSegment(A, automata.minimal_antichain(zigzag_automaton(g, x, y)))
+    return FinalSegment(A, tuple(v.code for v in automata.minimal_antichain(
+        zigzag_automaton(g, x, y))))
 
 
 def brute_zigzag_words(g, x, y, max_len):
@@ -155,7 +156,7 @@ def test_distance_matrix_on_oriented_paths_is_principal():
                 letters = ["+" if f else "-" for f in forward[i:j]]
             else:
                 letters = ["-" if f else "+" for f in forward[j:i]][::-1]
-            assert m.entries[i][j] == FinalSegment(A, (Word(A, tuple(letters)),))
+            assert m.entries[i][j] == FinalSegment(A, (Word(A, tuple(letters)).code,))
         assert_matches_pairwise(g)
 
 
@@ -176,7 +177,7 @@ def test_zigzag_agrees_with_brute_force_oracle():
         members = brute_zigzag_words(g, x, y, 5)
         naive_min = [v for v in members
                      if not any(u <= v and u != v for u in members)]
-        got_short = [v for v in d.generators if len(v) <= 5]
+        got_short = [Word.from_code(A, v) for v in d.generators if len(v) <= 5]
         assert got_short == naive_min
         # oracle membership must match segment membership up to the bound
         for v in all_words(A, 5):
@@ -261,7 +262,7 @@ def fence_by_acceptor(g, x, y):
     out = []
     for first, second in ("+-", "-+"):
         lengths = range(1, 2 * len(g.vertices) + 3)
-        out.append(next((n for n in lengths if automata.accepts(
+        out.append(next((n for n in lengths if accepts(
             aut, Word(A, tuple(second if i % 2 else first for i in range(n))))),
             None))
     return tuple(out)
