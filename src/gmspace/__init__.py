@@ -1,5 +1,6 @@
 """Exact-arithmetic generalized metric spaces over involutive quantales."""
 
+from . import automata  # bench/tracer.py looks modules up in sys.modules
 from .words import Alphabet, AlphabetMismatch, PLUS_MINUS, Word, subword_leq
 from .segments import FinalSegment, residual, residual_distance, in_macneille
 from .zigzag import ReflexiveDigraph, DistanceMatrix, zigzag_distance, \

@@ -1,7 +1,8 @@
-"""Shared helpers for finite orders: bounds and clique enumeration."""
+"""Shared helpers for finite orders: bounds, clique enumeration and the
+distance axioms."""
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, TypeVar
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -48,6 +49,27 @@ def meet_of(elements: Iterable[T], subset: Iterable[T],
     if glb is None:
         raise MissingJoin(f"no greatest lower bound for {sub!r}")
     return glb
+
+
+def axiom_violations(points: Sequence, rows: Sequence[Sequence], zero,
+                     inv: Callable, leq: Callable, oplus: Callable) -> list[tuple]:
+    """Every violation of separation, involution symmetry and the triangle
+    inequality by the table rows[i][j] = d(points[i], points[j]), with a
+    witness: separation and involution over (x, y) first, then the triangle
+    over (x, z, y) with y innermost.  The points must be distinct."""
+    bad = []
+    for i, x in enumerate(points):
+        for j, y in enumerate(points):
+            if (rows[i][j] == zero) != (i == j):
+                bad.append(("separation", x, y))
+            if inv(rows[j][i]) != rows[i][j]:
+                bad.append(("involution", x, y))
+    for i, x in enumerate(points):
+        for k, z in enumerate(points):
+            for j, y in enumerate(points):
+                if not leq(rows[i][j], oplus(rows[i][k], rows[k][j])):
+                    bad.append(("triangle", x, z, y))
+    return bad
 
 
 def maximal_cliques(nodes: list, adjacent: Callable[[int, int], bool]):

@@ -2,16 +2,16 @@
 
 Upward-closed languages are represented by acceptors; the finite antichain
 of minimal words is extracted with the one-letter-insertion transform.
-Higman's lemma guarantees the residual language is finite.  Production code
-uses acceptors only for MacNeille membership (``segments.in_macneille``);
-the other routines serve the tests as oracles.
+Higman's lemma guarantees the residual language is finite.  No production
+path builds an acceptor: the tests use these routines as oracles for the
+antichain kernel in ``words`` and ``segments``.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
 
-from .words import Alphabet, Word, minimize_words
+from .words import Alphabet, Word
 
 
 class NotUpwardClosed(ValueError):
@@ -57,33 +57,6 @@ class Automaton:
         for p in states:
             out.update(self._delta.get((p, a), ()))
         return frozenset(out)
-
-
-def upset_automaton(alphabet: Alphabet, words) -> Automaton:
-    """Acceptor of the upward closure of the given words.
-
-    The generator set is minimized first, so the construction is driven by a
-    genuine antichain.  One track of states per generator; every state keeps
-    a self-loop on every letter, and position i advances on the i-th letter
-    of its generator.
-    """
-    gens = [alphabet.decode(g) for g in minimize_words(w.code for w in words)]
-    trans: set[tuple[int, str, int]] = set()
-    initial: set[int] = set()
-    accepting: set[int] = set()
-    base = 0
-    for g in gens:
-        n = len(g)
-        initial.add(base)
-        accepting.add(base + n)
-        for i in range(n + 1):
-            for a in alphabet.letters:
-                trans.add((base + i, a, base + i))
-                if i < n and g[i] == a:
-                    trans.add((base + i, a, base + i + 1))
-        base += n + 1
-    return Automaton(alphabet, base, frozenset(trans), frozenset(initial),
-                     frozenset(accepting))
 
 
 def determinize(aut: Automaton) -> Automaton:

@@ -14,6 +14,9 @@ one-generator segment, on either side, is a plain map.  ``involute`` keeps
 the antichain and only re-sorts, and ``meet`` compares only pairs across its
 two antichains.  The constructor checks canonical form; the kernel builds
 its results through ``FinalSegment._canonical``.
+
+``in_macneille`` reads words through the vector of greedy match lengths of
+the generators, one state per vector, and builds no automaton.
 """
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from . import automata
 from .words import PLUS_MINUS, Alphabet, AlphabetMismatch, Word, all_words, \
     covers, greedy_prefix_match, minimal_common_superwords, minimize_words, \
     sort_codes
@@ -137,11 +139,6 @@ class FinalSegment:
         return FinalSegment._canonical(
             self.alphabet, tuple(sort_codes([inv(g) for g in self.generators])))
 
-    def to_automaton(self) -> automata.Automaton:
-        return automata.upset_automaton(
-            self.alphabet, [Word.from_code(self.alphabet, g)
-                            for g in self.generators])
-
     def to_json(self) -> list[str]:
         return [self.alphabet.text(g) for g in self.generators]
 
@@ -197,47 +194,59 @@ def in_macneille(z: FinalSegment) -> tuple[bool, Optional[tuple[Word, Word]]]:
     """Membership in the MacNeille completion of the word poset, decided by
     the cancellation rule: u+v and u-v in Z imply uv in Z.
 
-    Searches a triple product of the determinized acceptor for a reachable
-    common prefix u whose two one-letter extensions accept some common
-    suffix v that the bare prefix does not; returns a shortest witness.
+    A state after reading a word is the vector of greedy match lengths of
+    the generators: entry k is the length of the longest prefix of the
+    generator that embeds into the word, and the state accepts when some
+    generator is matched whole.  A 0-1 BFS over prefix states and suffix
+    triples looks for a prefix u whose two one-letter extensions accept some
+    common suffix v that the bare prefix does not; it returns a shortest
+    witness.
     """
     alpha = z.alphabet
     if len(alpha.letters) != 2 or \
             alpha.involute_letter(alpha.letters[0]) != alpha.letters[1]:
         raise ValueError("cancellation rule needs a two-letter involutive alphabet")
-    plus, minus = alpha.letters
-    dfa = automata._complete(automata.determinize(z.to_automaton()))
-    delta = {k: v[0] for k, v in dfa._delta.items()}
-    (start,) = dfa.initial
-    acc = dfa.accepting
+    gens = z.generators
+    codes = [alpha.encode(a) for a in alpha.letters]
+    steps: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
-    # 0/1-BFS over prefix states and suffix triples; the split is a free move.
-    seen_pre: dict[int, tuple[str, ...]] = {start: ()}
-    seen_post: dict[tuple[int, int, int], tuple[tuple[str, ...], tuple[str, ...]]] = {}
+    def step(state: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        out = steps.get(state)
+        if out is None:
+            out = steps[state] = tuple(
+                tuple([k + 1 if k < len(g) and g[k] == c else k
+                       for g, k in zip(gens, state)]) for c in codes)
+        return out
+
+    def accepts(state: tuple[int, ...]) -> bool:
+        return any(k == len(g) for g, k in zip(gens, state))
+
+    start = (0,) * len(gens)
+    seen_pre: dict[tuple[int, ...], str] = {start: ""}
+    seen_post: dict[tuple, tuple[str, str]] = {}
     queue: deque = deque([("pre", start)])
     while queue:
         kind, node = queue.popleft()
         if kind == "pre":
             u = seen_pre[node]
-            triple = (delta[(node, plus)], delta[(node, minus)], node)
+            nxt = step(node)
+            triple = (nxt[0], nxt[1], node)
             if triple not in seen_post:
                 # the split costs nothing: 0-1 BFS keeps witnesses shortest
-                seen_post[triple] = (u, ())
+                seen_post[triple] = (u, "")
                 queue.appendleft(("post", triple))
-            for a in alpha.letters:
-                nxt = delta[(node, a)]
-                if nxt not in seen_pre:
-                    seen_pre[nxt] = u + (a,)
-                    queue.append(("pre", nxt))
+            for c, t in zip(codes, nxt):
+                if t not in seen_pre:
+                    seen_pre[t] = u + c
+                    queue.append(("pre", t))
         else:
             u, v = seen_post[node]
             s1, s2, s0 = node
-            if s1 in acc and s2 in acc and s0 not in acc:
-                return False, (Word(alpha, u), Word(alpha, v))
-            for a in alpha.letters:
-                nt = (delta[(s1, a)], delta[(s2, a)], delta[(s0, a)])
+            if accepts(s1) and accepts(s2) and not accepts(s0):
+                return False, (Word.from_code(alpha, u), Word.from_code(alpha, v))
+            for c, nt in zip(codes, zip(step(s1), step(s2), step(s0))):
                 if nt not in seen_post:
-                    seen_post[nt] = (u, v + (a,))
+                    seen_post[nt] = (u, v + c)
                     queue.append(("post", nt))
     return True, None
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ._orders import MissingJoin, NotResiduated, join_of, least_of, \
-    maximal_cliques, meet_of
+from ._orders import MissingJoin, NotResiduated, axiom_violations, join_of, \
+    least_of, maximal_cliques, meet_of
 
 
 class SizeGuard(ValueError):
@@ -231,6 +231,8 @@ class FiniteGms:
     def __init__(self, points: Sequence, monoid: MonoidTable,
                  dist: Mapping[tuple, object]):
         self.points = tuple(points)
+        if len(set(self.points)) != len(self.points):
+            raise ValueError("duplicate points")
         self.monoid = monoid
         self.dist = dict(dist)
         elems = set(monoid.elements)
@@ -245,19 +247,9 @@ class FiniteGms:
     def check_axioms(self) -> list[tuple]:
         """Report every violation of separation, triangle and involution
         symmetry with a witness."""
-        m, bad = self.monoid, []
-        for x in self.points:
-            for y in self.points:
-                if (self.d(x, y) == m.zero) != (x == y):
-                    bad.append(("separation", x, y))
-                if m.inv(self.d(y, x)) != self.d(x, y):
-                    bad.append(("involution", x, y))
-        for x in self.points:
-            for z in self.points:
-                for y in self.points:
-                    if not m.leq(self.d(x, y), m.oplus(self.d(x, z), self.d(z, y))):
-                        bad.append(("triangle", x, z, y))
-        return bad
+        m = self.monoid
+        rows = [[self.dist[(x, y)] for y in self.points] for x in self.points]
+        return axiom_violations(self.points, rows, m.zero, m.inv, m.leq, m.oplus)
 
     def _require_axioms(self):
         bad = self.check_axioms()
@@ -442,6 +434,8 @@ def space_from_json(payload: Mapping) -> FiniteGms:
         conv(mon["zero"]))
     points = [str(p) for p in payload["points"]]
     rows = payload["dist"]
+    if len(rows) != len(points) or any(len(row) != len(points) for row in rows):
+        raise ValueError("dist must have one row and one column per point")
     dist = {(points[i], points[j]): conv(rows[i][j])
             for i in range(len(points)) for j in range(len(points))}
     return FiniteGms(points, monoid, dist)

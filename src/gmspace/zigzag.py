@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
+from ._orders import axiom_violations
 from .segments import FinalSegment, in_macneille, meet_antichains
 from .words import PLUS_MINUS, Word, covers
 
@@ -116,25 +117,11 @@ class DistanceMatrix:
 
     def check_axioms(self) -> list[tuple]:
         """Violations of separation, the triangle inequality and involution
-        symmetry, each with a witness tuple."""
-        bad = []
-        vs = self.vertices
+        symmetry, each with a witness tuple (see ``axiom_violations``)."""
         zero = FinalSegment.zero(PLUS_MINUS)
-        for i, x in enumerate(vs):
-            for j, y in enumerate(vs):
-                d = self.entries[i][j]
-                if (d == zero) != (i == j):
-                    bad.append(("separation", x, y))
-                if self.entries[j][i].involute() != d:
-                    bad.append(("involution", x, y))
-        for i, x in enumerate(vs):
-            for j, y in enumerate(vs):
-                for k, z in enumerate(vs):
-                    lhs = self.entries[i][j]
-                    rhs = self.entries[i][k].oplus(self.entries[k][j])
-                    if not lhs.leq(rhs):
-                        bad.append(("triangle", x, z, y))
-        return bad
+        return axiom_violations(self.vertices, self.entries, zero,
+                                FinalSegment.involute, FinalSegment.leq,
+                                FinalSegment.oplus)
 
     def to_json(self) -> dict:
         return {"vertices": list(self.vertices),

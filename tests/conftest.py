@@ -6,7 +6,7 @@ import pytest
 from gmspace.automata import (Automaton, complement, determinize, insert_one_letter,
                               intersect, is_empty)
 from gmspace.segments import FinalSegment
-from gmspace.words import PLUS_MINUS, Word, all_words
+from gmspace.words import PLUS_MINUS, Alphabet, Word, all_words, minimize_words
 
 
 @pytest.fixture
@@ -55,6 +55,39 @@ class Budget:
 
 
 # Acceptor helpers: no production path uses them, so they live with the tests.
+
+
+def upset_automaton(alphabet: Alphabet, words) -> Automaton:
+    """Acceptor of the upward closure of the given words.
+
+    The generator set is minimized first, so the construction is driven by a
+    genuine antichain.  One track of states per generator; every state keeps
+    a self-loop on every letter, and position i advances on the i-th letter
+    of its generator.
+    """
+    gens = [alphabet.decode(g) for g in minimize_words(w.code for w in words)]
+    trans: set[tuple[int, str, int]] = set()
+    initial: set[int] = set()
+    accepting: set[int] = set()
+    base = 0
+    for g in gens:
+        n = len(g)
+        initial.add(base)
+        accepting.add(base + n)
+        for i in range(n + 1):
+            for a in alphabet.letters:
+                trans.add((base + i, a, base + i))
+                if i < n and g[i] == a:
+                    trans.add((base + i, a, base + i + 1))
+        base += n + 1
+    return Automaton(alphabet, base, frozenset(trans), frozenset(initial),
+                     frozenset(accepting))
+
+
+def segment_automaton(z: FinalSegment) -> Automaton:
+    """Acceptor of a final segment, built from its generator words."""
+    return upset_automaton(z.alphabet, [Word.from_code(z.alphabet, g)
+                                        for g in z.generators])
 
 
 def accepts(aut: Automaton, w: Word) -> bool:

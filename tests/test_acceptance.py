@@ -19,7 +19,8 @@ from gmspace.words import PLUS_MINUS, Word, all_words, is_antichain, \
 from gmspace.zigzag import (ReflexiveDigraph, distance_matrix,
                             oriented_embeddable, satisfies_graph_condition)
 
-from conftest import Budget, w, naive_upset_members, random_segment
+from conftest import Budget, w, naive_upset_members, random_segment, \
+    upset_automaton
 
 A = PLUS_MINUS
 
@@ -48,7 +49,7 @@ def test_criterion_2_minimal_antichain_oracle():
         for _ in range(20):
             gens = [Word.from_code(A, c) for c in minimize_words(
                 v.code for v in rng.sample(pool, rng.randint(1, 5)))]
-            aut = automata.upset_automaton(A, gens)
+            aut = upset_automaton(A, gens)
             members = set(naive_upset_members(gens, 6))
             naive_min = [v for v in sorted(members, key=Word.sort_key)
                          if not any(u <= v and u != v for u in members)]

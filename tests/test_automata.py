@@ -6,13 +6,12 @@ import pytest
 from gmspace import automata
 from gmspace.automata import (NotUpwardClosed, complement, determinize,
                               enumerate_finite, insert_one_letter, intersect,
-                              is_empty, is_finite, minimal_antichain,
-                              upset_automaton)
+                              is_empty, is_finite, minimal_antichain)
 from gmspace.words import PLUS_MINUS, Word, all_words, is_antichain, \
     minimize_words
 
-from conftest import (accepts, is_upward_closed, naive_upset_members, w,
-                      word_quotient)
+from conftest import (accepts, is_upward_closed, naive_upset_members,
+                      upset_automaton, w, word_quotient)
 
 A = PLUS_MINUS
 

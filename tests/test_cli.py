@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gmspace import automata
 from gmspace.cli import InputError, dispatch, parse_poly
 from gmspace.zcong import IntPoly
 
@@ -84,20 +85,55 @@ def test_zcong_extend_and_affine(tmp_path, capsys):
     assert code == 0 and "multiplier: 3" in out
 
 
+CHAIN1 = {"elements": [0, 1], "leq": [[0, 1]],
+          "oplus": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]],
+          "involution": [[0, 0], [1, 1]], "zero": 0}
+SPACE2 = {"points": ["x", "y"], "monoid": CHAIN1, "dist": [[0, 1], [1, 0]]}
+
+
 def test_gms_commands(tmp_path, capsys):
-    space = {
-        "points": ["x", "y"],
-        "monoid": {"elements": [0, 1], "leq": [[0, 1]],
-                   "oplus": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]],
-                   "involution": [[0, 0], [1, 1]], "zero": 0},
-        "dist": [[0, 1], [1, 0]],
-    }
-    path = write(tmp_path, "space.json", space)
+    path = write(tmp_path, "space.json", SPACE2)
     assert run(capsys, "gms", "check", path)[0] == 0
     code, out = run(capsys, "gms", "hyperconvex", path)
     assert code == 0
     code, out = run(capsys, "gms", "fpp", path)
     assert code == 1 and "witness" in out  # the swap has no fixed point
+
+
+def test_gms_rejects_malformed_spaces(tmp_path, capsys):
+    repeated = {"points": ["a", "a", "b"], "monoid": CHAIN1,
+                "dist": [[0, 0, 1], [0, 0, 1], [1, 1, 0]]}
+    short_row = {"points": ["x", "y"], "monoid": CHAIN1, "dist": [[0, 1], [1]]}
+    short_table = {"points": ["x", "y"], "monoid": CHAIN1, "dist": [[0, 1]]}
+    long_table = {"points": ["x", "y"], "monoid": CHAIN1,
+                  "dist": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}
+    for name, space in (("repeated", repeated), ("short_row", short_row),
+                        ("short_table", short_table), ("long", long_table)):
+        path = write(tmp_path, f"{name}.json", space)
+        for cmd in ("check", "fpp"):
+            code, out = run(capsys, "gms", cmd, path)
+            assert code == 2 and out == "", (name, cmd)
+
+
+def test_commands_build_no_automaton(tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("an automaton was built")
+
+    monkeypatch.setattr(automata.Automaton, "__post_init__", refuse)
+    chain = write(tmp_path, "g.json", CHAIN2)
+    cycle = write(tmp_path, "c3.json", CYCLE3)
+    product = write(tmp_path, "ac.json", ["+-"])
+    space = write(tmp_path, "space.json", SPACE2)
+    for argv, expect in (
+            (("zigzag", "dist", cycle), 0),
+            (("zigzag", "dist", cycle, "--from", "a", "--to", "c"), 0),
+            (("zigzag", "embeddable", chain), 0),
+            (("zigzag", "embeddable", cycle), 1),
+            (("zigzag", "fence", chain, "--from", "a", "--to", "b"), 0),
+            (("freemon", "factor", product), 0),
+            (("freemon", "irreducible", product), 1),
+            (("gms", "check", space), 0)):
+        assert run(capsys, "--json", *argv)[0] == expect, argv
 
 
 def test_eqv_commands(tmp_path, capsys):

@@ -8,9 +8,11 @@ import pytest
 from gmspace import automata, partitions, semirigid, spaces
 from gmspace.words import PLUS_MINUS, Word
 
+from conftest import upset_automaton
+
 
 def finite_acceptor():
-    aut = automata.upset_automaton(PLUS_MINUS, [Word.parse("+-")])
+    aut = upset_automaton(PLUS_MINUS, [Word.parse("+-")])
     bigger = automata.determinize(automata.insert_one_letter(aut))
     return automata.intersect(automata.determinize(aut), automata.complement(bigger))
 

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -10,7 +11,7 @@ from gmspace.segments import (FinalSegment, default_accessibility_candidates,
 from gmspace.words import PLUS_MINUS, AlphabetMismatch, Word, all_words, \
     is_antichain
 
-from conftest import w, seg, random_segment, word_quotient
+from conftest import w, seg, random_segment, segment_automaton, word_quotient
 
 A = PLUS_MINUS
 ZERO = FinalSegment.zero(A)
@@ -125,7 +126,7 @@ def codes(words):
 
 def join_via_automata(p, q):
     """Oracle: minimal words of the product acceptor of the two upsets."""
-    prod = automata.intersect(p.to_automaton(), q.to_automaton())
+    prod = automata.intersect(segment_automaton(p), segment_automaton(q))
     return FinalSegment(p.alphabet, codes(automata.minimal_antichain(prod)))
 
 
@@ -135,7 +136,8 @@ def residual_via_automata(v, b, side):
         return FinalSegment.zero(v.alphabet)
     aut = None
     for g in b.generators:
-        quo = word_quotient(v.to_automaton(), Word.from_code(v.alphabet, g), side)
+        quo = word_quotient(segment_automaton(v), Word.from_code(v.alphabet, g),
+                            side)
         aut = quo if aut is None else automata.intersect(aut, quo)
     return FinalSegment(v.alphabet, codes(automata.minimal_antichain(aut)))
 
@@ -185,6 +187,61 @@ def test_macneille_agrees_with_brute_force_exhaustively():
             u, v = witness
             assert z.contains(u + w("+") + v) and z.contains(u + w("-") + v)
             assert not z.contains(u + v)
+
+
+def macneille_via_automata(z: FinalSegment):
+    """Oracle: the 0-1 BFS of ``in_macneille`` run on the determinized
+    acceptor of z, whose states are subsets of the generator tracks."""
+    alpha = z.alphabet
+    plus, minus = alpha.letters
+    dfa = automata.determinize(segment_automaton(z))
+    delta = {k: v[0] for k, v in dfa._delta.items()}
+    (start,) = dfa.initial
+    acc = dfa.accepting
+    seen_pre = {start: ()}
+    seen_post = {}
+    queue = deque([("pre", start)])
+    while queue:
+        kind, node = queue.popleft()
+        if kind == "pre":
+            u = seen_pre[node]
+            triple = (delta[(node, plus)], delta[(node, minus)], node)
+            if triple not in seen_post:
+                seen_post[triple] = (u, ())
+                queue.appendleft(("post", triple))
+            for a in alpha.letters:
+                nxt = delta[(node, a)]
+                if nxt not in seen_pre:
+                    seen_pre[nxt] = u + (a,)
+                    queue.append(("pre", nxt))
+        else:
+            u, v = seen_post[node]
+            s1, s2, s0 = node
+            if s1 in acc and s2 in acc and s0 not in acc:
+                return False, (Word(alpha, u), Word(alpha, v))
+            for a in alpha.letters:
+                nt = (delta[(s1, a)], delta[(s2, a)], delta[(s0, a)])
+                if nt not in seen_post:
+                    seen_post[nt] = (u, v + (a,))
+                    queue.append(("post", nt))
+    return True, None
+
+
+def test_macneille_matches_acceptor_search_on_small_antichains():
+    for z in all_segments_with_gens_up_to(3):
+        assert in_macneille(z) == macneille_via_automata(z), str(z)
+
+
+def test_macneille_matches_acceptor_search_on_random_segments():
+    rng = random.Random(11)
+    seen = set()
+    while len(seen) < 3000:
+        gens = ["".join(rng.choice("+-") for _ in range(rng.randint(1, 7)))
+                for _ in range(rng.randint(1, 6))]
+        z = FinalSegment.of(A, gens)
+        if z not in seen:
+            seen.add(z)
+            assert in_macneille(z) == macneille_via_automata(z), str(z)
 
 
 def test_accessibility_examples():

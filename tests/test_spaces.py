@@ -252,22 +252,71 @@ def hyperconvex_by_enumeration(space):
     return True
 
 
+def small_monoids():
+    return [MonoidTable.chain(1), MonoidTable.chain(2), MonoidTable.chain(3),
+            MonoidTable.boolean("ab"), MonoidTable.involutive_four()]
+
+
+def symmetric_spaces(mon, n):
+    """Every table on n points with zero diagonal and d(y, x) = inv d(x, y)."""
+    pts = [f"p{i}" for i in range(n)]
+    pairs = list(itertools.combinations(pts, 2))
+    for values in itertools.product(mon.elements, repeat=len(pairs)):
+        dist = {(x, x): mon.zero for x in pts}
+        for (x, y), v in zip(pairs, values):
+            dist[(x, y)], dist[(y, x)] = v, mon.inv(v)
+        yield FiniteGms(pts, mon, dist)
+
+
 def small_spaces():
     """Every space on 1-3 points whose distances satisfy the axioms, over
     monoids with at most four elements."""
-    monoids = [MonoidTable.chain(1), MonoidTable.chain(2), MonoidTable.chain(3),
-               MonoidTable.boolean("ab"), MonoidTable.involutive_four()]
-    for mon in monoids:
+    for mon in small_monoids():
         for n in (1, 2, 3):
-            pts = [f"p{i}" for i in range(n)]
-            pairs = list(itertools.combinations(pts, 2))
-            for values in itertools.product(mon.elements, repeat=len(pairs)):
-                dist = {(x, x): mon.zero for x in pts}
-                for (x, y), v in zip(pairs, values):
-                    dist[(x, y)], dist[(y, x)] = v, mon.inv(v)
-                space = FiniteGms(pts, mon, dist)
+            for space in symmetric_spaces(mon, n):
                 if not space.check_axioms():
                     yield space
+
+
+def axioms_by_scan(space):
+    """Oracle: the direct scan over point names, reporting separation and
+    involution over (x, y), then the triangle over (x, z, y)."""
+    m, d, bad = space.monoid, space.d, []
+    for x in space.points:
+        for y in space.points:
+            if (d(x, y) == m.zero) != (x == y):
+                bad.append(("separation", x, y))
+            if m.inv(d(y, x)) != d(x, y):
+                bad.append(("involution", x, y))
+    for x in space.points:
+        for z in space.points:
+            for y in space.points:
+                if not m.leq(d(x, y), m.oplus(d(x, z), d(z, y))):
+                    bad.append(("triangle", x, z, y))
+    return bad
+
+
+def test_check_axioms_matches_scan_on_small_tables():
+    """Every table on 1-2 points, every symmetric table on 3 points, and
+    random tables on 3 points, violating the axioms or not."""
+    rng = random.Random(25)
+    kinds = set()
+    for mon in small_monoids():
+        spaces = [sp for n in (1, 2, 3) for sp in symmetric_spaces(mon, n)]
+        for n in (1, 2):
+            pts = [f"p{i}" for i in range(n)]
+            cells = list(itertools.product(pts, repeat=2))
+            for values in itertools.product(mon.elements, repeat=len(cells)):
+                spaces.append(FiniteGms(pts, mon, dict(zip(cells, values))))
+        cells = list(itertools.product(["p0", "p1", "p2"], repeat=2))
+        for _ in range(1000):
+            dist = {c: rng.choice(mon.elements) for c in cells}
+            spaces.append(FiniteGms(["p0", "p1", "p2"], mon, dist))
+        for sp in spaces:
+            bad = sp.check_axioms()
+            assert bad == axioms_by_scan(sp), (sp.points, sp.dist)
+            kinds.update(v[0] for v in bad)
+    assert kinds == {"separation", "involution", "triangle"}
 
 
 def test_hyperconvexity_matches_ball_family_enumeration():

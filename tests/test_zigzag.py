@@ -12,7 +12,7 @@ from gmspace.zigzag import (DistanceMatrix, ReflexiveDigraph, distance_matrix,
                             is_nonexpansive, oriented_embeddable,
                             satisfies_graph_condition, zigzag_distance)
 
-from conftest import accepts, seg
+from conftest import accepts, random_segment, seg
 
 A = PLUS_MINUS
 
@@ -232,6 +232,45 @@ def test_graph_condition_holds_for_graph_matrices_and_recovers_graph():
         ok, _ = satisfies_graph_condition(m)
         assert ok
         assert graph_from_matrix(m).edges == g.edges
+
+
+def matrix_axioms_by_scan(m):
+    """Oracle: a direct scan of the entries; it reports triangles over
+    (x, y, z) with z innermost, so compare its violations as a multiset."""
+    bad = []
+    vs, e = m.vertices, m.entries
+    zero = FinalSegment.zero(A)
+    for i, x in enumerate(vs):
+        for j, y in enumerate(vs):
+            if (e[i][j] == zero) != (i == j):
+                bad.append(("separation", x, y))
+            if e[j][i].involute() != e[i][j]:
+                bad.append(("involution", x, y))
+    for i, x in enumerate(vs):
+        for j, y in enumerate(vs):
+            for k, z in enumerate(vs):
+                if not e[i][j].leq(e[i][k].oplus(e[k][j])):
+                    bad.append(("triangle", x, z, y))
+    return bad
+
+
+def test_check_axioms_matches_scan_on_corrupted_matrices():
+    rng = random.Random(17)
+    kinds = set()
+    for _ in range(150):
+        m = distance_matrix(random_digraph(rng, max_n=5))
+        n = len(m.vertices)
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows = [list(row) for row in m.entries]
+        rows[i][j] = rng.choice([FinalSegment.zero(A), FinalSegment.empty(A),
+                                 random_segment(rng)])
+        bad = DistanceMatrix(m.vertices, tuple(map(tuple, rows)))
+        got, expect = bad.check_axioms(), matrix_axioms_by_scan(bad)
+        assert sorted(got) == sorted(expect)
+        assert [v for v in got if v[0] != "triangle"] == \
+            [v for v in expect if v[0] != "triangle"]
+        kinds.update(v[0] for v in got)
+    assert kinds == {"separation", "involution", "triangle"}
 
 
 def test_fence_examples():
