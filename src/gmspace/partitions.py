@@ -78,6 +78,9 @@ class Partition:
     def block_of(self, x) -> tuple:
         return self.blocks[self._index[x]]
 
+    def _block_vector(self) -> tuple:
+        return tuple(map(self._index.__getitem__, self.carrier))
+
     def leq(self, other: Partition) -> bool:
         """Refinement order: every block of self sits inside a block of other."""
         self._check(other)
@@ -327,49 +330,68 @@ def residuated_distance(elements: Sequence, leq_pairs: Iterable[tuple]) -> dict:
 def orthogonal(rho: Partition, tau: Partition) -> bool:
     """Strong orthogonality: meet is equality and join is the full relation.
 
-    Read off the block indices: the meet is equality when no two points share
-    both their rho-block and their tau-block, and the join is full when the
-    graph linking each point's rho-block to its tau-block is connected."""
+    Decided by ``_orthogonal_row`` on the block-index vectors, the same
+    kernel the family search runs."""
     rho._check(tau)
-    edges = {(rho._index[x], tau._index[x]) for x in rho.carrier}
-    if len(edges) != len(rho.carrier):
-        return False
-    offset = len(rho.blocks)
-    parent = list(range(offset + len(tau.blocks)))
+    return _orthogonal_row(len(rho.carrier), _bits(rho._block_vector()),
+                           [_bits(tau._block_vector())]) == 1
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    components = len(parent)
-    for i, j in edges:
-        a, b = find(i), find(offset + j)
-        if a != b:
-            parent[a] = b
-            components -= 1
-    return components <= 1
+def _bits(vec: tuple) -> tuple[int, tuple]:
+    """For a block-index vector over n points: the bitmask of the point pairs
+    x < y that share a block (bit x*n + y), and each block's point bitmask."""
+    n = len(vec)
+    masks = [0] * (max(vec, default=-1) + 1)
+    for x, i in enumerate(vec):
+        masks[i] |= 1 << x
+    pairs = 0
+    for x, i in enumerate(vec):
+        pairs |= masks[i] >> (x + 1) << (x * n + x + 1)
+    return pairs, tuple(masks)
+
+
+def _orthogonal_row(n: int, a: tuple, others: Sequence[tuple]) -> int:
+    """Bitset of the positions in ``others`` holding partitions strongly
+    orthogonal to ``a``, all partitions of n points given by ``_bits``.
+
+    The meet is equality when no pair of points shares a block of both; the
+    join is full when the graph linking each point's a-block to its b-block
+    is connected, which on k + l vertices and n edges needs k + l <= n + 1,
+    and is found by growing the points reachable from point 0."""
+    pa, ma = a
+    full = (1 << n) - 1
+    row = 0
+    for j, (pb, mb) in enumerate(others):
+        if pa & pb or len(ma) + len(mb) > n + 1:
+            continue
+        reach, grown = 0, full & 1
+        while grown != reach:
+            reach = grown
+            for m in mb + ma:
+                if m & grown:
+                    grown |= m
+        if reach == full:
+            row |= 1 << j
+    return row
 
 
 def all_partitions(carrier: Sequence):
-    """Every partition of the carrier (restricted-growth enumeration)."""
+    """Every partition of the carrier, in the lexicographic order of the
+    block-index vectors (restricted-growth strings)."""
     carrier = tuple(carrier)
     if carrier:
-        yield from _partitions_from(carrier, 0, [])
+        for vec in _growth_strings(len(carrier)):
+            yield _from_masks(carrier, _bits(vec)[1])
 
 
-def _partitions_from(carrier: tuple, i: int, blocks: list):
-    if i == len(carrier):
-        yield Partition.from_blocks(carrier, [list(b) for b in blocks])
+def _growth_strings(n: int, prefix: tuple = (), top: int = -1):
+    """Restricted-growth strings of length n extending the prefix (each
+    entry at most one more than the largest before it), lexicographically."""
+    if len(prefix) == n:
+        yield prefix
         return
-    for b in blocks:
-        b.append(carrier[i])
-        yield from _partitions_from(carrier, i + 1, blocks)
-        b.pop()
-    blocks.append([carrier[i]])
-    yield from _partitions_from(carrier, i + 1, blocks)
-    blocks.pop()
+    for i in range(top + 2):
+        yield from _growth_strings(n, prefix + (i,), max(top, i))
 
 
 def orthogonal_family_search(n: int, block_size: Optional[int] = None,
@@ -378,31 +400,46 @@ def orthogonal_family_search(n: int, block_size: Optional[int] = None,
 
     Candidates exclude the equality partition (it is orthogonal only to the
     full relation); with ``block_size`` given, only partitions with uniform
-    blocks of that size are considered."""
+    blocks of that size are considered.  Candidates run in ``all_partitions``
+    order and the clique search keeps the first largest family it meets, so
+    the reported family is the lexicographically least list of candidate
+    positions among the largest ones."""
+    if n < 1 or (block_size is not None and block_size < 1):
+        raise ValueError("n and the block size must be positive")
     if n > guard:
         raise SizeGuard(f"{n} exceeds the search guard {guard}")
-    carrier = tuple(range(n))
     cands = []
-    for p in all_partitions(carrier):
-        if len(p.blocks) == n:
+    for vec in _growth_strings(n):
+        pairs, masks = _bits(vec)
+        if len(masks) == n:
             continue  # the equality partition
-        if block_size is not None and any(len(b) != block_size for b in p.blocks):
+        if block_size is not None and \
+                any(m.bit_count() != block_size for m in masks):
             continue
-        cands.append(p)
-    adj = {(i, j): orthogonal(cands[i], cands[j])
-           for i in range(len(cands)) for j in range(i + 1, len(cands))}
+        cands.append((pairs, masks))
+    nbrs = [_orthogonal_row(n, a, cands[i + 1:]) << i + 1
+            for i, a in enumerate(cands)]
     best: list[int] = []
-    _extend_clique(adj, [], list(range(len(cands))), best)
-    return [cands[i] for i in best]
+    _extend_clique(nbrs, [], (1 << len(cands)) - 1, best)
+    return [_from_masks(tuple(range(n)), cands[i][1]) for i in best]
 
 
-def _extend_clique(adj: dict, chosen: list[int], rest: list[int],
+def _from_masks(carrier: tuple, masks: tuple) -> Partition:
+    return Partition(carrier, tuple(tuple(x for k, x in enumerate(carrier)
+                                          if m >> k & 1) for m in masks))
+
+
+def _extend_clique(nbrs: list[int], chosen: list[int], rest: int,
                    best: list[int]) -> None:
-    """Branch and bound for a largest clique; ``best`` is updated in place."""
+    """Branch and bound for a largest clique over neighbour bitsets, trying
+    the candidates in ``rest`` in increasing index order; ``best`` is
+    updated in place."""
     if len(chosen) > len(best):
         best[:] = chosen
-    for k, i in enumerate(rest):
-        if len(chosen) + len(rest) - k <= len(best):
+    while rest:
+        if len(chosen) + rest.bit_count() <= len(best):
             break  # cannot beat the incumbent
-        filtered = [j for j in rest[k + 1:] if adj[(i, j)]]
-        _extend_clique(adj, chosen + [i], filtered, best)
+        low = rest & -rest
+        rest ^= low
+        i = low.bit_length() - 1
+        _extend_clique(nbrs, chosen + [i], rest & nbrs[i], best)

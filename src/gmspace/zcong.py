@@ -268,22 +268,24 @@ class NotAffine:
     witness: tuple
 
 
-def _axis_subgroup_member(v: tuple, k: int) -> bool:
-    return all(c == 0 for i, c in enumerate(v) if i != k)
-
-
-def _antidiag_subgroup_member(v: tuple, k: int, l: int) -> bool:
-    return all(c == 0 for i, c in enumerate(v) if i not in (k, l)) \
-        and v[k] == -v[l]
+def _coset_key(p: tuple, k: int, l: Optional[int]) -> tuple:
+    """Two points differ by a member of the axis-k subgroup (l is None) or of
+    the anti-diagonal (k, l) subgroup exactly when their keys agree: the
+    other coordinates, plus a_k + a_l for the anti-diagonal."""
+    rest = tuple(c for i, c in enumerate(p) if i != k and i != l)
+    return rest if l is None else rest + (p[k] + p[l],)
 
 
 def zn_affine_check(g: GridMap) -> Affine | NotAffine:
     """Decide whether a window map looks affine with a scalar multiplier.
 
-    Checks preservation of the congruences of the axis subgroups and the
-    anti-diagonal subgroups over window differences, then fits the offset
-    from g(0) and the multiplier from g(e_0) - g(0) and verifies the formula
-    everywhere on the window.
+    Checks preservation of the congruences of the axis subgroups, then the
+    anti-diagonal subgroups: one holds when the values share a coset key
+    within every coset of window points.  For the first broken subgroup the
+    witness is its first broken pair (a, b), a < b, with a outer and b inner
+    in the iteration order of the window's point set.  Then the offset is
+    fitted from g(0) and the multiplier from g(e_0) - g(0), and the formula
+    is verified on the window, the witness being its first failing point.
     """
     n = g.dimension
     if n < 2:
@@ -296,24 +298,22 @@ def zn_affine_check(g: GridMap) -> Affine | NotAffine:
     missing = [p for p in probes if p not in pts]
     if missing:
         raise WindowTooSmall(f"window lacks probe points {missing}")
-
-    def diff(a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    pairs = [(a, b) for a in pts for b in pts if a < b]
-    for k in range(n):
-        for a, b in pairs:
-            if _axis_subgroup_member(diff(a, b), k):
-                if not _axis_subgroup_member(diff(g.values[a], g.values[b]), k):
-                    return NotAffine(f"axis-{k} congruence broken", (a, b))
-    for k in range(n):
-        for l in range(k + 1, n):
-            for a, b in pairs:
-                if _antidiag_subgroup_member(diff(a, b), k, l):
-                    if not _antidiag_subgroup_member(
-                            diff(g.values[a], g.values[b]), k, l):
-                        return NotAffine(f"antidiagonal-({k},{l}) congruence broken",
-                                         (a, b))
+    subgroups = [(f"axis-{k}", k, None) for k in range(n)] + \
+        [(f"antidiagonal-({k},{l})", k, l)
+         for k in range(n) for l in range(k + 1, n)]
+    for name, k, l in subgroups:
+        keys = {p: (_coset_key(p, k, l), _coset_key(g.values[p], k, l))
+                for p in pts}
+        cosets: dict = {}
+        for p, (key, _) in keys.items():
+            cosets.setdefault(key, []).append(p)
+        if all(len({keys[p][1] for p in c}) == 1 for c in cosets.values()):
+            continue
+        for a in pts:
+            key, vkey = keys[a]
+            for b in cosets[key]:
+                if a < b and keys[b][1] != vkey:
+                    return NotAffine(f"{name} congruence broken", (a, b))
     offset = g.values[zero]
     m = g.values[units[0]][0] - offset[0]
     for p in pts:

@@ -1,8 +1,12 @@
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from gmspace import partitions
+from gmspace.cli import dispatch
 from gmspace.partitions import (EquivSystem, NotResiduated,
                                 Partition, PreservationViolated,
                                 all_partitions, crt_solve, is_arithmetical,
@@ -332,13 +336,20 @@ def definitional_orthogonal(rho, tau):
 
 
 def test_orthogonal_matches_meet_join_definition():
-    E5 = tuple(range(5))
-    parts = list(all_partitions(E5))
-    assert len(parts) == 52
-    for rho in parts:
-        for tau in parts:
-            assert orthogonal(rho, tau) == definitional_orthogonal(rho, tau), \
-                (rho, tau)
+    # every ordered pair of partitions of a 6-set, through the kernel on the
+    # search's encoding and through orthogonal()
+    parts = list(all_partitions(range(6)))
+    bits = [partitions._bits(vec) for vec in partitions._growth_strings(6)]
+    assert len(parts) == len(bits) == 203
+    orthogonal_pairs = 0
+    for rho, rho_bits in zip(parts, bits):
+        row = partitions._orthogonal_row(6, rho_bits, bits)
+        for j, tau in enumerate(parts):
+            got = bool(row >> j & 1)
+            assert got == definitional_orthogonal(rho, tau), (rho, tau)
+            assert orthogonal(rho, tau) == got
+            orthogonal_pairs += got
+    assert orthogonal_pairs == 2 * 3600 + 2  # with equality/full both ways
     rng = random.Random(29)
     hits = 0
     for k in range(400):
@@ -351,6 +362,7 @@ def test_orthogonal_matches_meet_join_definition():
     assert hits > 0
     with pytest.raises(ValueError):
         orthogonal(MOD2, Partition.discrete((0, 1)))
+    assert orthogonal(Partition((), ()), Partition((), ()))
 
 
 def test_partition_rejects_blocks_that_miss_the_carrier():
@@ -377,3 +389,130 @@ def test_partition_json():
     assert MOD3.to_json() == [[0, 3], [1, 4], [2, 5]]
     sys6 = EquivSystem.of(Z6, [MOD2, MOD3])
     assert sys6.to_json()["relations"][0] == MOD2.to_json()
+
+
+# --- the enumeration, orthogonality test and dict-adjacency search that the
+# block-index kernel replaced, kept as its oracles ---
+
+def union_find_orthogonal(rho: Partition, tau: Partition) -> bool:
+    rho._check(tau)
+    edges = {(rho._index[x], tau._index[x]) for x in rho.carrier}
+    if len(edges) != len(rho.carrier):
+        return False
+    offset = len(rho.blocks)
+    parent = list(range(offset + len(tau.blocks)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    components = len(parent)
+    for i, j in edges:
+        a, b = find(i), find(offset + j)
+        if a != b:
+            parent[a] = b
+            components -= 1
+    return components <= 1
+
+
+def recursive_partitions(carrier):
+    carrier = tuple(carrier)
+    if carrier:
+        yield from _partitions_from(carrier, 0, [])
+
+
+def _partitions_from(carrier: tuple, i: int, blocks: list):
+    if i == len(carrier):
+        yield Partition.from_blocks(carrier, [list(b) for b in blocks])
+        return
+    for b in blocks:
+        b.append(carrier[i])
+        yield from _partitions_from(carrier, i + 1, blocks)
+        b.pop()
+    blocks.append([carrier[i]])
+    yield from _partitions_from(carrier, i + 1, blocks)
+    blocks.pop()
+
+
+def dict_orthogonal_family_search(n, block_size=None, guard=8):
+    if n > guard:
+        raise SizeGuard(f"{n} exceeds the search guard {guard}")
+    carrier = tuple(range(n))
+    cands = []
+    for p in recursive_partitions(carrier):
+        if len(p.blocks) == n:
+            continue  # the equality partition
+        if block_size is not None and any(len(b) != block_size for b in p.blocks):
+            continue
+        cands.append(p)
+    adj = {(i, j): union_find_orthogonal(cands[i], cands[j])
+           for i in range(len(cands)) for j in range(i + 1, len(cands))}
+    best = []
+    _dict_extend_clique(adj, [], list(range(len(cands))), best)
+    return [cands[i] for i in best]
+
+
+def _dict_extend_clique(adj, chosen, rest, best):
+    if len(chosen) > len(best):
+        best[:] = chosen
+    for k, i in enumerate(rest):
+        if len(chosen) + len(rest) - k <= len(best):
+            break  # cannot beat the incumbent
+        filtered = [j for j in rest[k + 1:] if adj[(i, j)]]
+        _dict_extend_clique(adj, chosen + [i], filtered, best)
+
+
+def test_all_partitions_keeps_the_recursive_order():
+    for carrier in [range(n) for n in range(8)] + ["abc", (3, 1, 2, 0)]:
+        assert list(all_partitions(carrier)) == \
+            list(recursive_partitions(carrier))
+
+
+def test_family_search_matches_dict_adjacency_search():
+    for n in range(1, 7):
+        for block_size in (None, 1, 2, 3):
+            got = orthogonal_family_search(n, block_size)
+            want = dict_orthogonal_family_search(n, block_size)
+            assert json.dumps([p.to_json() for p in got]) == \
+                json.dumps([p.to_json() for p in want]), (n, block_size)
+
+
+def test_orthogonal_family_search_rejects_senseless_sizes(capsys):
+    for argv in (["--", "-1"], ["0"], ["4", "--block-size", "0"],
+                 ["4", "--block-size", "-2"]):
+        assert dispatch(["--json", "eqv", "orthogonal", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be positive" in captured.err
+    for n, block_size in ((0, None), (-1, None), (4, 0)):
+        with pytest.raises(ValueError):
+            orthogonal_family_search(n, block_size)
+
+
+def partitions_of(carrier):
+    return st.lists(st.integers(0, len(carrier) - 1), min_size=len(carrier),
+                    max_size=len(carrier)).map(
+        lambda labels: Partition.from_blocks(carrier, [
+            [x for x, l in zip(carrier, labels) if l == b]
+            for b in set(labels)]))
+
+
+triples = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(*[partitions_of(tuple(range(n)))] * 3))
+
+
+@given(triples)
+def test_meet_and_join_form_a_lattice(abc):
+    a, b, c = abc
+    for op in (Partition.meet, Partition.join):
+        assert op(a, b) == op(b, a)
+        assert op(op(a, b), c) == op(a, op(b, c))
+    assert a.meet(a.join(b)) == a == a.join(a.meet(b))
+    assert a.meet(b).leq(a) and a.leq(a.join(b))
+
+
+@given(triples)
+def test_orthogonal_is_symmetric_and_definitional(abc):
+    a, b, _ = abc
+    assert orthogonal(a, b) == orthogonal(b, a) == definitional_orthogonal(a, b)

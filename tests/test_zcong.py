@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gmspace.zcong import (AbelianGroup, Affine, GridMap, IntPoly, NotAffine,
                            NotAGroup, PreservationViolated,
@@ -205,3 +207,103 @@ def test_square_examples():
 def test_not_a_group():
     with pytest.raises(NotAGroup):
         AbelianGroup([0, 1], {(a, b): 0 for a in (0, 1) for b in (0, 1)})
+
+
+# --- the all-pairs scan that zn_affine_check replaced, kept as its oracle ---
+
+def _axis_subgroup_member(v: tuple, k: int) -> bool:
+    return all(c == 0 for i, c in enumerate(v) if i != k)
+
+
+def _antidiag_subgroup_member(v: tuple, k: int, l: int) -> bool:
+    return all(c == 0 for i, c in enumerate(v) if i not in (k, l)) \
+        and v[k] == -v[l]
+
+
+def pairwise_zn_affine_check(g: GridMap) -> Affine | NotAffine:
+    n = g.dimension
+    if n < 2:
+        raise ValueError("dimension must be at least 2")
+    zero = (0,) * n
+    units = [tuple(1 if i == k else 0 for i in range(n)) for k in range(n)]
+    probes = [zero] + units + [tuple(u + v for u, v in zip(units[k], units[l]))
+                               for k in range(n) for l in range(k + 1, n)]
+    pts = set(g.points())
+    missing = [p for p in probes if p not in pts]
+    if missing:
+        raise WindowTooSmall(f"window lacks probe points {missing}")
+
+    def diff(a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    pairs = [(a, b) for a in pts for b in pts if a < b]
+    for k in range(n):
+        for a, b in pairs:
+            if _axis_subgroup_member(diff(a, b), k):
+                if not _axis_subgroup_member(diff(g.values[a], g.values[b]), k):
+                    return NotAffine(f"axis-{k} congruence broken", (a, b))
+    for k in range(n):
+        for l in range(k + 1, n):
+            for a, b in pairs:
+                if _antidiag_subgroup_member(diff(a, b), k, l):
+                    if not _antidiag_subgroup_member(
+                            diff(g.values[a], g.values[b]), k, l):
+                        return NotAffine(f"antidiagonal-({k},{l}) congruence broken",
+                                         (a, b))
+    offset = g.values[zero]
+    m = g.values[units[0]][0] - offset[0]
+    for p in pts:
+        expect = tuple(offset[i] + m * p[i] for i in range(n))
+        if g.values[p] != expect:
+            return NotAffine("affine fit fails on the window", (p,))
+    return Affine(offset, m)
+
+
+def seeded_grid(rng, kind):
+    """A window map of dimension 2-4 on an asymmetric window around the
+    probes: affine with 0-5 perturbed values, affine per axis with its own
+    multiplier, a coordinate swap of an affine map, or fully random."""
+    dim = rng.choice((2, 2, 2, 3, 3, 4))
+    below, above = {2: (3, 3), 3: (1, 2), 4: (1, 1)}[dim]
+    window = [(-rng.randint(0, below), rng.randint(1, above)) for _ in range(dim)]
+    pts = list(itertools.product(*(range(lo, hi + 1) for lo, hi in window)))
+    offset = [rng.randint(-4, 4) for _ in range(dim)]
+    mults = [rng.randint(-3, 3)] * dim
+    if kind == "per-axis":
+        mults = [rng.randint(-3, 3) for _ in range(dim)]
+    values = {p: [offset[i] + mults[i] * p[i] for i in range(dim)] for p in pts}
+    if kind == "random":
+        values = {p: [rng.randint(-2, 2) for _ in range(dim)] for p in pts}
+    if kind == "swap":
+        k, l = rng.sample(range(dim), 2)
+        for v in values.values():
+            v[k], v[l] = v[l], v[k]
+    if kind == "perturbed":
+        for p in rng.sample(pts, min(len(pts), rng.randint(0, 5))):
+            values[p][rng.randrange(dim)] += rng.choice((-2, -1, 1, 2))
+    return GridMap.of(dim, window, values)
+
+
+def test_affine_check_matches_pairwise_scan():
+    rng = random.Random(1010)
+    kinds = ("perturbed",) * 6 + ("per-axis", "swap", "random")
+    seen = {"Affine": 0, "axis": 0, "antidiagonal": 0}
+    for case in range(3000):
+        g = seeded_grid(rng, kinds[case % len(kinds)])
+        got = zn_affine_check(g)
+        assert got == pairwise_zn_affine_check(g), (case, g)
+        if isinstance(got, Affine):
+            seen["Affine"] += 1
+        else:
+            seen[got.reason.split("-")[0]] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+@given(st.integers(0, 4).flatmap(lambda m: st.lists(
+    st.integers(-50, 50), min_size=2 * m + 1, max_size=2 * m + 1)))
+def test_pn_expand_reconstructs_the_window(column):
+    m = len(column) // 2
+    values = dict(zip(range(-m, m + 1), column))
+    coeffs = pn_expand(values)
+    assert len(coeffs) == len(values)
+    assert all(pn_reconstruct(coeffs, x) == v for x, v in values.items())
