@@ -1,8 +1,9 @@
-"""Shared helpers for finite orders: bounds, clique enumeration and the
-distance axioms."""
+"""Shared helpers for finite orders: bounds, the distance axioms and the
+Helly property of ball families."""
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+import itertools
+from typing import Callable, Collection, Iterable, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -72,23 +73,17 @@ def axiom_violations(points: Sequence, rows: Sequence[Sequence], zero,
     return bad
 
 
-def maximal_cliques(nodes: list, adjacent: Callable[[int, int], bool]):
-    """Bron-Kerbosch over node indices; yields each maximal clique as a list."""
-    neigh = [set() for _ in nodes]
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            if adjacent(i, j):
-                neigh[i].add(j)
-                neigh[j].add(i)
-    yield from _expand_cliques(neigh, set(), set(range(len(nodes))), set())
-
-
-def _expand_cliques(neigh: list[set], r: set, p: set, x: set):
-    if not p and not x:
-        yield sorted(r)
-        return
-    pivot = max(p | x, key=lambda v: len(neigh[v] & p))
-    for v in sorted(p - neigh[pivot]):
-        yield from _expand_cliques(neigh, r | {v}, p & neigh[v], x & neigh[v])
-        p = p - {v}
-        x = x | {v}
+def is_helly(sets: Collection[frozenset], points: Sequence) -> bool:
+    """Every pairwise-intersecting subfamily of the nonempty subsets `sets`
+    of `points` has a common point.  By Berge and Duchet (1975), exactly
+    when for every three points the members holding at least two of them
+    have a common point (all of `points` when no member does)."""
+    ground = frozenset(points)
+    for a, b, c in itertools.combinations(points, 3):
+        common = ground
+        for s in sets:
+            if (a in s) + (b in s) + (c in s) >= 2:
+                common &= s
+        if not common:
+            return False
+    return True

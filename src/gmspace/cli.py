@@ -3,6 +3,15 @@
 Exit codes: 0 when the computation succeeds or the checked property holds,
 1 when a checked property fails (a witness is printed), 2 on input errors.
 Reports are deterministic for identical inputs; timing goes to stderr only.
+
+Each subcommand has one handler in COMMANDS.  It gets the parsed arguments,
+every JSON file already loaded, and returns (result, exit code).  With
+--json, `dispatch` prints {"command", "input_digest", "result"}; otherwise
+it prints the result's keys, one per line.  The input digest is the sha256
+of the subcommand's inputs in table order, each followed by a NUL byte: a
+JSON file contributes json.dumps(payload, sort_keys=True), any other value
+its str.  --from, --to, --check, --monogenic and --symmetry only choose what
+is reported, so they are not inputs.
 """
 from __future__ import annotations
 
@@ -16,8 +25,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import factorization, semirigid, zcong, zigzag
-from .partitions import (CrtResult, EquivSystem, PreservationViolated,
-                         crt_solve, is_arithmetical, kaarli_extend,
+from .partitions import (EquivSystem, PreservationViolated, crt_solve,
+                         is_arithmetical, kaarli_extend,
                          orthogonal_family_search, sublattice_closure)
 from .segments import FinalSegment
 from .spaces import space_from_json
@@ -34,14 +43,6 @@ def _load_json(path: str):
         return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-
-
-def _digest(parts: list[str]) -> str:
-    h = hashlib.sha256()
-    for p in parts:
-        h.update(p.encode())
-        h.update(b"\0")
-    return h.hexdigest()
 
 
 _TERM = re.compile(
@@ -94,22 +95,6 @@ def parse_poly(text: str) -> IntPoly:
         raise InputError(str(exc)) from exc
 
 
-def _json_digest(payload) -> str:
-    return _digest([json.dumps(payload, sort_keys=True)])
-
-
-def _emit(args, payload: dict, exit_code: int) -> int:
-    report = {"command": f"{args.cmd} {getattr(args, args.cmd + '_cmd')}",
-              "input_digest": payload.pop("_digest"),
-              "result": payload}
-    if args.json:
-        print(json.dumps(report, sort_keys=True, default=str))
-    else:
-        for key in sorted(payload):
-            print(f"{key}: {json.dumps(payload[key], default=str, sort_keys=True)}")
-    return exit_code
-
-
 def _system_from_json(payload) -> EquivSystem:
     if isinstance(payload, dict):
         carrier = [tuple(x) if isinstance(x, list) else x
@@ -122,260 +107,240 @@ def _system_from_json(payload) -> EquivSystem:
     return EquivSystem.of(carrier, [[conv(b) for b in rel] for rel in rels])
 
 
+def _verdict(key: str, found: tuple, render, **result) -> tuple[dict, int]:
+    """Add to `result` whether a checked property holds, under `key`, and
+    its rendered witness, if any; exit code 1 when the property fails."""
+    ok, witness = found
+    result[key] = ok
+    if witness:
+        result["witness"] = render(witness)
+    return result, 0 if ok else 1
+
+
+def _str_map(witness: dict) -> dict:
+    return {str(k): str(v) for k, v in witness.items()}
+
+
+def _label(point) -> str:
+    return "|".join(map(str, point))
+
+
 # --- subcommand handlers ---------------------------------------------------------
 
 
-def _cmd_zigzag(args) -> int:
-    payload = _load_json(args.graph)
-    g = zigzag.ReflexiveDigraph.from_json(payload)
-    base = {"_digest": _json_digest(payload)}
-    if args.zigzag_cmd == "dist":
-        if (args.src is None) != (args.dst is None):
-            raise InputError("--from and --to must be given together")
-        if args.src is not None:
-            d = zigzag.zigzag_distance(g, args.src, args.dst)
-            base["distance"] = d.to_json()
-        else:
-            base["matrix"] = zigzag.distance_matrix(g).to_json()
-        return _emit(args, base, 0)
-    if args.zigzag_cmd == "embeddable":
-        ok, witness = zigzag.oriented_embeddable(g)
-        base["embeddable"] = ok
-        if not ok:
-            x, y, (u, v) = witness
-            base["witness"] = {"pair": [x, y], "u": str(u), "v": str(v)}
-        return _emit(args, base, 0 if ok else 1)
-    if args.zigzag_cmd == "fence":
-        if args.src is None or args.dst is None:
-            raise InputError("fence needs --from and --to")
-        up, down = zigzag.fence_distance(g, args.src, args.dst)
-        base["up_fence"] = up if up is not None else "infinite"
-        base["down_fence"] = down if down is not None else "infinite"
-        return _emit(args, base, 0)
-    raise InputError(f"unknown zigzag subcommand {args.zigzag_cmd!r}")
+def _zigzag_dist(args):
+    g = zigzag.ReflexiveDigraph.from_json(args.graph)
+    if (args.src is None) != (args.dst is None):
+        raise InputError("--from and --to must be given together")
+    if args.src is None:
+        return {"matrix": zigzag.distance_matrix(g).to_json()}, 0
+    return {"distance": zigzag.zigzag_distance(g, args.src, args.dst).to_json()}, 0
 
 
-def _cmd_gms(args) -> int:
-    payload = _load_json(args.space)
-    space = space_from_json(payload)
-    base = {"_digest": _json_digest(payload)}
-    if args.gms_cmd == "check":
-        bad = space.check_axioms()
-        base["axioms_hold"] = not bad
-        if bad:
-            base["violations"] = [list(map(str, b)) for b in bad]
-        return _emit(args, base, 0 if not bad else 1)
-    if args.gms_cmd == "hyperconvex":
-        ok = space.is_hyperconvex()
-        base["hyperconvex"] = ok
-        base["convex"] = space.is_convex()
-        base["two_helly"] = space.is_2helly()
-        return _emit(args, base, 0 if ok else 1)
-    if args.gms_cmd == "fpp":
-        ok, witness = space.fpp_check()
-        base["fixed_point_property"] = ok
-        if witness:
-            base["witness"] = {str(k): str(v) for k, v in witness.items()}
-        return _emit(args, base, 0 if ok else 1)
-    raise InputError(f"unknown gms subcommand {args.gms_cmd!r}")
+def _zigzag_embeddable(args):
+    g = zigzag.ReflexiveDigraph.from_json(args.graph)
+    return _verdict("embeddable", zigzag.oriented_embeddable(g),
+                    lambda w: {"pair": [w[0], w[1]], "u": str(w[2][0]),
+                               "v": str(w[2][1])})
 
 
-def _cmd_eqv(args) -> int:
-    if args.eqv_cmd == "orthogonal":
-        fam = orthogonal_family_search(args.n, block_size=args.block_size)
-        base = {"_digest": _digest([str(args.n), str(args.block_size)]),
-                "size": len(fam), "family": [p.to_json() for p in fam]}
-        return _emit(args, base, 0)
-    payload = _load_json(args.input)
-    base = {"_digest": _json_digest(payload)}
-    if args.eqv_cmd == "arithmetical":
-        system = _system_from_json(payload)
-        lattice = sublattice_closure(system.relations)
-        ok = is_arithmetical(lattice)
-        base["closure_size"] = len(lattice)
-        base["arithmetical"] = ok
-        return _emit(args, base, 0 if ok else 1)
-    if args.eqv_cmd == "crt":
-        system = _system_from_json(payload)
-        lattice = list(sublattice_closure(system.relations))
-        constraints = []
-        for a, i in payload["constraints"]:
-            constraints.append((a, system.relations[i]))
-        for _, theta in constraints:
-            if theta not in lattice:
-                lattice.append(theta)
-        res: CrtResult = crt_solve(lattice, constraints)
-        base["status"] = res.status
-        if res.status == "ok":
-            base["solution"] = res.solution
-        elif res.witness_pair:
-            base["witness_pair"] = list(res.witness_pair)
-        return _emit(args, base, 0 if res else 1)
-    if args.eqv_cmd == "extend":
-        system = _system_from_json(payload)
-        lattice = sublattice_closure(system.relations)
-        f = {k: v for k, v in (tuple(p) for p in payload["map"])}
-        try:
-            g = kaarli_extend(list(lattice), f, payload["z"])
-        except PreservationViolated as exc:
-            base["status"] = "preservation_violated"
-            base["detail"] = str(exc)
-            return _emit(args, base, 1)
-        base["status"] = "ok"
-        base["extension"] = sorted([k, v] for k, v in g.items())
-        return _emit(args, base, 0)
-    raise InputError(f"unknown eqv subcommand {args.eqv_cmd!r}")
+def _zigzag_fence(args):
+    g = zigzag.ReflexiveDigraph.from_json(args.graph)
+    if args.src is None or args.dst is None:
+        raise InputError("fence needs --from and --to")
+    up, down = zigzag.fence_distance(g, args.src, args.dst)
+    return {"up_fence": up if up is not None else "infinite",
+            "down_fence": down if down is not None else "infinite"}, 0
 
 
-def _cmd_zcong(args) -> int:
-    if args.zcong_cmd == "check":
-        poly = parse_poly(args.poly)
-        ok, witness = zcong.is_congruence_preserving(poly)
-        base = {"_digest": _digest([args.poly]), "congruence_preserving": ok,
-                "binomial_coefficients": list(poly.coeffs)}
-        if witness:
-            base["witness"] = {"x": witness[0], "k": witness[1]}
-        return _emit(args, base, 0 if ok else 1)
-    if args.zcong_cmd == "gen":
-        poly = zcong.cgg_generator(args.n)
-        base = {"_digest": _digest([str(args.n)]),
-                "binomial_coefficients": list(poly.coeffs),
-                "lcm": zcong.lcm_upto(args.n)}
-        return _emit(args, base, 0)
-    if args.zcong_cmd == "extend":
-        payload = _load_json(args.pairs)
-        f = {int(a): int(v) for a, v in payload}
-        base = {"_digest": _digest([json.dumps(payload, sort_keys=True),
-                                    str(args.z)])}
-        try:
-            value = zcong.extend_congruence_map(f, args.z)
-        except zcong.PreservationViolated as exc:
-            base["status"] = "preservation_violated"
-            base["detail"] = str(exc)
-            return _emit(args, base, 1)
-        base["status"] = "ok"
-        base["value"] = value
-        return _emit(args, base, 0)
-    if args.zcong_cmd == "affine":
-        payload = _load_json(args.grid)
-        grid = GridMap.of(payload["dimension"],
-                          [tuple(w) for w in payload["window"]],
-                          {tuple(p): tuple(v) for p, v in payload["values"]})
-        base = {"_digest": _json_digest(payload)}
-        result = zcong.zn_affine_check(grid)
-        if isinstance(result, Affine):
-            base["affine"] = True
-            base["offset"] = list(result.offset)
-            base["multiplier"] = result.multiplier
-            return _emit(args, base, 0)
-        base["affine"] = False
-        base["reason"] = result.reason
-        base["witness"] = [list(p) for p in result.witness]
-        return _emit(args, base, 1)
-    raise InputError(f"unknown zcong subcommand {args.zcong_cmd!r}")
+def _gms_check(args):
+    bad = space_from_json(args.space).check_axioms()
+    result = {"axioms_hold": not bad}
+    if bad:
+        result["violations"] = [list(map(str, b)) for b in bad]
+    return result, 0 if not bad else 1
 
 
-def _cmd_semirigid(args) -> int:
-    if args.semirigid_cmd == "zadori":
-        system = semirigid.zadori_system(args.n)
-        base = {"_digest": _digest([str(args.n)]), "system": system.to_json()}
-        if args.check:
-            ok, witness = semirigid.is_semirigid(system)
-            base["semirigid"] = ok
-            if witness:
-                base["witness"] = {str(k): str(v) for k, v in witness.items()}
-            return _emit(args, base, 0 if ok else 1)
-        return _emit(args, base, 0)
-    if args.semirigid_cmd == "check":
-        payload = _load_json(args.system)
-        system = _system_from_json(payload)
-        base = {"_digest": _json_digest(payload)}
-        ok, witness = semirigid.is_semirigid(system)
-        base["semirigid"] = ok
-        if witness:
-            base["witness"] = {str(k): str(v) for k, v in witness.items()}
-        return _emit(args, base, 0 if ok else 1)
-    if args.semirigid_cmd == "plane":
-        payload = _load_json(args.points)
-        pts = semirigid.parse_points(payload)
-        system = semirigid.plane_system(pts)
-        base = {"_digest": _json_digest(payload),
-                "points": semirigid.points_to_json(pts),
-                "relations": [[["|".join(map(str, p)) for p in b] for b in r.blocks]
-                              for r in system.relations]}
-        code = 0
-        if args.monogenic:
-            mono, seed = semirigid.is_monogenic(pts)
-            base["monogenic"] = mono
-            if seed is not None:
-                base["seed"] = semirigid.points_to_json(seed)
-        if args.symmetry:
-            sym, center = semirigid.has_center_of_symmetry(pts)
-            base["has_center_of_symmetry"] = sym
-            if center:
-                base["center"] = [str(center[0]), str(center[1])]
-        if args.check:
-            ok, witness = semirigid.is_semirigid(system)
-            base["semirigid"] = ok
-            if witness:
-                base["witness"] = {"|".join(map(str, k)): "|".join(map(str, v))
-                                   for k, v in witness.items()}
-            code = 0 if ok else 1
-        return _emit(args, base, code)
-    raise InputError(f"unknown semirigid subcommand {args.semirigid_cmd!r}")
+def _gms_hyperconvex(args):
+    space = space_from_json(args.space)
+    ok = space.is_hyperconvex()
+    return {"hyperconvex": ok, "convex": space.is_convex(),
+            "two_helly": space.is_2helly()}, 0 if ok else 1
 
 
-def _cmd_freemon(args) -> int:
-    payload = _load_json(args.antichain)
-    seg = FinalSegment.from_json(payload, PLUS_MINUS)
-    base = {"_digest": _json_digest(payload), "segment": seg.to_json()}
-    if args.freemon_cmd == "factor":
-        if seg.is_empty_set():
-            raise InputError("the empty segment has no factorization")
-        factors = factorization.factorize(seg)
-        base["factors"] = [f.to_json() for f in factors]
-        return _emit(args, base, 0)
-    if args.freemon_cmd == "irreducible":
-        ok = factorization.is_irreducible(seg)
-        base["irreducible"] = ok
-        return _emit(args, base, 0 if ok else 1)
-    raise InputError(f"unknown freemon subcommand {args.freemon_cmd!r}")
+def _gms_fpp(args):
+    return _verdict("fixed_point_property",
+                    space_from_json(args.space).fpp_check(), _str_map)
+
+
+def _eqv_arithmetical(args):
+    lattice = sublattice_closure(_system_from_json(args.input).relations)
+    ok = is_arithmetical(lattice)
+    return {"closure_size": len(lattice), "arithmetical": ok}, 0 if ok else 1
+
+
+def _eqv_crt(args):
+    system = _system_from_json(args.input)
+    lattice = list(sublattice_closure(system.relations))
+    constraints = [(a, system.relations[i]) for a, i in args.input["constraints"]]
+    for _, theta in constraints:
+        if theta not in lattice:
+            lattice.append(theta)
+    res = crt_solve(lattice, constraints)
+    result = {"status": res.status}
+    if res.status == "ok":
+        result["solution"] = res.solution
+    elif res.witness_pair:
+        result["witness_pair"] = list(res.witness_pair)
+    return result, 0 if res else 1
+
+
+def _eqv_extend(args):
+    lattice = sublattice_closure(_system_from_json(args.input).relations)
+    f = {k: v for k, v in (tuple(p) for p in args.input["map"])}
+    try:
+        g = kaarli_extend(list(lattice), f, args.input["z"])
+    except PreservationViolated as exc:
+        return {"status": "preservation_violated", "detail": str(exc)}, 1
+    return {"status": "ok", "extension": sorted([k, v] for k, v in g.items())}, 0
+
+
+def _eqv_orthogonal(args):
+    fam = orthogonal_family_search(args.n, block_size=args.block_size)
+    return {"size": len(fam), "family": [p.to_json() for p in fam]}, 0
+
+
+def _zcong_check(args):
+    poly = parse_poly(args.poly)
+    return _verdict("congruence_preserving", zcong.is_congruence_preserving(poly),
+                    lambda w: {"x": w[0], "k": w[1]},
+                    binomial_coefficients=list(poly.coeffs))
+
+
+def _zcong_gen(args):
+    return {"binomial_coefficients": list(zcong.cgg_generator(args.n).coeffs),
+            "lcm": zcong.lcm_upto(args.n)}, 0
+
+
+def _zcong_extend(args):
+    f = {int(a): int(v) for a, v in args.pairs}
+    try:
+        value = zcong.extend_congruence_map(f, args.z)
+    except zcong.PreservationViolated as exc:
+        return {"status": "preservation_violated", "detail": str(exc)}, 1
+    return {"status": "ok", "value": value}, 0
+
+
+def _zcong_affine(args):
+    grid = GridMap.of(args.grid["dimension"],
+                      [tuple(w) for w in args.grid["window"]],
+                      {tuple(p): tuple(v) for p, v in args.grid["values"]})
+    result = zcong.zn_affine_check(grid)
+    if isinstance(result, Affine):
+        return {"affine": True, "offset": list(result.offset),
+                "multiplier": result.multiplier}, 0
+    return {"affine": False, "reason": result.reason,
+            "witness": [list(p) for p in result.witness]}, 1
+
+
+def _semirigid_check(args):
+    system = _system_from_json(args.system)
+    return _verdict("semirigid", semirigid.is_semirigid(system), _str_map)
+
+
+def _semirigid_zadori(args):
+    system = semirigid.zadori_system(args.n)
+    result = {"system": system.to_json()}
+    if not args.check:
+        return result, 0
+    return _verdict("semirigid", semirigid.is_semirigid(system), _str_map, **result)
+
+
+def _semirigid_plane(args):
+    pts = semirigid.parse_points(args.points)
+    system = semirigid.plane_system(pts)
+    result = {"points": semirigid.points_to_json(pts),
+              "relations": [[list(map(_label, b)) for b in r.blocks]
+                            for r in system.relations]}
+    if args.monogenic:
+        result["monogenic"], seed = semirigid.is_monogenic(pts)
+        if seed is not None:
+            result["seed"] = semirigid.points_to_json(seed)
+    if args.symmetry:
+        result["has_center_of_symmetry"], center = \
+            semirigid.has_center_of_symmetry(pts)
+        if center:
+            result["center"] = [str(center[0]), str(center[1])]
+    if not args.check:
+        return result, 0
+    return _verdict("semirigid", semirigid.is_semirigid(system),
+                    lambda w: {_label(k): _label(v) for k, v in w.items()}, **result)
+
+
+def _freemon_factor(args):
+    seg = FinalSegment.from_json(args.antichain, PLUS_MINUS)
+    if seg.is_empty_set():
+        raise InputError("the empty segment has no factorization")
+    return {"segment": seg.to_json(),
+            "factors": [f.to_json() for f in factorization.factorize(seg)]}, 0
+
+
+def _freemon_irreducible(args):
+    seg = FinalSegment.from_json(args.antichain, PLUS_MINUS)
+    ok = factorization.is_irreducible(seg)
+    return {"segment": seg.to_json(), "irreducible": ok}, 0 if ok else 1
 
 
 # --- parser ----------------------------------------------------------------------
 
+# An argument is (name, add_argument options, role); an optional input names
+# its dest.  A JSON file (_FILE) or a plain value (_VALUE) is an input of the
+# digest; a _CHOICE only chooses what is reported.
+_FILE, _VALUE, _CHOICE = "file", "value", "choice"
+_GRAPH = [("graph", {"help": "graph JSON file"}, _FILE)]
+_ENDS = [("--from", {"dest": "src", "default": None}, _CHOICE),
+         ("--to", {"dest": "dst", "default": None}, _CHOICE)]
+_SPACE = [("space", {"help": "space JSON file"}, _FILE)]
+_EQV_INPUT = [("input", {"help": "JSON input file"}, _FILE)]
+_ANTICHAIN = [("antichain", {"help": "JSON list of generator strings"}, _FILE)]
+_N = [("n", {"type": int}, _VALUE)]
+_CHECK = ("--check", {"action": "store_true"}, _CHOICE)
 
-_GRAPH = [("graph", {"help": "graph JSON file"})]
-_ENDS = [("--from", {"dest": "src", "default": None}),
-         ("--to", {"dest": "dst", "default": None})]
-_N = [("n", {"type": int})]
-_CHECK = ("--check", {"action": "store_true"})
-
-# command -> (help, handler, {subcommand: [(argument, add_argument options)]})
+# command -> (help, {subcommand: (handler, arguments)})
 COMMANDS = {
-    "zigzag": ("zigzag distances on reflexive digraphs", _cmd_zigzag, {
-        "dist": _GRAPH + _ENDS, "embeddable": _GRAPH, "fence": _GRAPH + _ENDS}),
-    "gms": ("finite generalized metric spaces", _cmd_gms, dict.fromkeys(
-        ("check", "hyperconvex", "fpp"), [("space", {"help": "space JSON file"})])),
-    "eqv": ("equivalence lattices", _cmd_eqv, {
-        **dict.fromkeys(("arithmetical", "crt", "extend"),
-                        [("input", {"help": "JSON input file"})]),
-        "orthogonal": _N + [("--block-size", {"type": int, "default": None})]}),
-    "zcong": ("congruence-preserving maps on Z", _cmd_zcong, {
-        "check": [("poly", {"help": "polynomial, e.g. 'x^2/2 - x/2' or 'C(x,2)'"})],
-        "gen": _N,
-        "extend": [("pairs", {"help": "JSON list of [point, value] pairs"}),
-                   ("z", {"type": int})],
-        "affine": [("grid", {"help": "grid map JSON file"})]}),
-    "semirigid": ("semirigid equivalence systems", _cmd_semirigid, {
-        "check": [("system", {"help": "system JSON file"})],
-        "zadori": _N + [_CHECK],
-        "plane": [("points", {"help": "plane point set JSON file"}),
-                  ("--monogenic", {"action": "store_true"}),
-                  ("--symmetry", {"action": "store_true"}), _CHECK]}),
-    "freemon": ("free-monoid factorization", _cmd_freemon, dict.fromkeys(
-        ("factor", "irreducible"),
-        [("antichain", {"help": "JSON list of generator strings"})])),
+    "zigzag": ("zigzag distances on reflexive digraphs", {
+        "dist": (_zigzag_dist, _GRAPH + _ENDS),
+        "embeddable": (_zigzag_embeddable, _GRAPH),
+        "fence": (_zigzag_fence, _GRAPH + _ENDS)}),
+    "gms": ("finite generalized metric spaces", {
+        "check": (_gms_check, _SPACE),
+        "hyperconvex": (_gms_hyperconvex, _SPACE),
+        "fpp": (_gms_fpp, _SPACE)}),
+    "eqv": ("equivalence lattices", {
+        "arithmetical": (_eqv_arithmetical, _EQV_INPUT),
+        "crt": (_eqv_crt, _EQV_INPUT),
+        "extend": (_eqv_extend, _EQV_INPUT),
+        "orthogonal": (_eqv_orthogonal, _N + [
+            ("--block-size", {"dest": "block_size", "type": int, "default": None},
+             _VALUE)])}),
+    "zcong": ("congruence-preserving maps on Z", {
+        "check": (_zcong_check, [
+            ("poly", {"help": "polynomial, e.g. 'x^2/2 - x/2' or 'C(x,2)'"}, _VALUE)]),
+        "gen": (_zcong_gen, _N),
+        "extend": (_zcong_extend, [
+            ("pairs", {"help": "JSON list of [point, value] pairs"}, _FILE),
+            ("z", {"type": int}, _VALUE)]),
+        "affine": (_zcong_affine, [("grid", {"help": "grid map JSON file"}, _FILE)])}),
+    "semirigid": ("semirigid equivalence systems", {
+        "check": (_semirigid_check, [("system", {"help": "system JSON file"}, _FILE)]),
+        "zadori": (_semirigid_zadori, _N + [_CHECK]),
+        "plane": (_semirigid_plane, [
+            ("points", {"help": "plane point set JSON file"}, _FILE),
+            ("--monogenic", {"action": "store_true"}, _CHOICE),
+            ("--symmetry", {"action": "store_true"}, _CHOICE), _CHECK])}),
+    "freemon": ("free-monoid factorization", {
+        "factor": (_freemon_factor, _ANTICHAIN),
+        "irreducible": (_freemon_irreducible, _ANTICHAIN)}),
 }
 
 
@@ -386,14 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "involutive quantales")
     top.add_argument("--json", action="store_true", help="machine-readable report")
     sub = top.add_subparsers(dest="cmd", required=True)
-    for name, (help_text, handler, subcommands) in COMMANDS.items():
+    for name, (help_text, subcommands) in COMMANDS.items():
         subs = sub.add_parser(name, help=help_text).add_subparsers(
             dest=f"{name}_cmd", required=True)
-        for sub_name, arguments in subcommands.items():
+        for sub_name, (_, arguments) in subcommands.items():
             p = subs.add_parser(sub_name)
-            for argument, options in arguments:
+            for argument, options, _ in arguments:
                 p.add_argument(argument, **options)
-            p.set_defaults(handler=handler)
     return top
 
 
@@ -403,9 +367,29 @@ def dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    command = getattr(args, f"{args.cmd}_cmd")
+    handler, arguments = COMMANDS[args.cmd][1][command]
     start = time.monotonic()
+    digest = hashlib.sha256()
     try:
-        code = args.handler(args)
+        for name, options, role in arguments:
+            if role == _CHOICE:
+                continue
+            dest = options.get("dest", name)
+            value = getattr(args, dest)
+            if role == _FILE:
+                value = _load_json(value)
+                setattr(args, dest, value)
+                value = json.dumps(value, sort_keys=True)
+            digest.update(f"{value}\0".encode())
+        result, code = handler(args)
+        if args.json:
+            print(json.dumps({"command": f"{args.cmd} {command}",
+                              "input_digest": digest.hexdigest(),
+                              "result": result}, sort_keys=True, default=str))
+        else:
+            for key in sorted(result):
+                print(f"{key}: {json.dumps(result[key], default=str, sort_keys=True)}")
     except (ValueError, KeyError, TypeError) as exc:  # InputError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

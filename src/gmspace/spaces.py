@@ -9,8 +9,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ._orders import MissingJoin, NotResiduated, axiom_violations, join_of, \
-    least_of, maximal_cliques, meet_of
+from ._orders import MissingJoin, NotResiduated, axiom_violations, is_helly, \
+    join_of, least_of, meet_of
 
 
 class SizeGuard(ValueError):
@@ -273,27 +273,15 @@ class FiniteGms:
                             return False
         return True
 
-    def _ball_sets(self) -> list[frozenset]:
-        return sorted({self.ball(x, r) for x in self.points
-                       for r in self.monoid.elements},
-                      key=lambda s: sorted(map(self.points.index, s)))
+    def _ball_sets(self) -> set[frozenset]:
+        return {self.ball(x, r) for x in self.points for r in self.monoid.elements}
 
     def is_2helly(self) -> bool:
-        """Every pairwise-intersecting family of balls has a common point.
-
-        Duplicated point sets are irrelevant, and any pairwise-intersecting
-        family extends to a maximal clique of the intersection graph, so it
-        suffices to intersect the maximal cliques over distinct ball sets.
-        """
+        """Every pairwise-intersecting family of balls has a common point
+        (`_orders.is_helly`, the Berge-Duchet triple test, on the distinct
+        balls)."""
         self._require_axioms()
-        sets = self._ball_sets()
-        for clique in maximal_cliques(sets, lambda i, j: bool(sets[i] & sets[j])):
-            common = frozenset(self.points)
-            for i in clique:
-                common &= sets[i]
-            if not common:
-                return False
-        return True
+        return is_helly(self._ball_sets(), self.points)
 
     def is_hyperconvex(self) -> bool:
         """Convexity plus the 2-Helly property (the tests compare it with a
@@ -327,7 +315,7 @@ class FiniteGms:
     def ball_intersections(self) -> set[frozenset]:
         """All intersections of families of closed balls (the empty family
         contributes the whole point set)."""
-        sets = set(self._ball_sets()) | {frozenset(self.points)}
+        sets = self._ball_sets() | {frozenset(self.points)}
         frontier = set(sets)
         while frontier:
             nxt = {a & b for a in frontier for b in sets} - sets

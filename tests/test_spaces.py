@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from gmspace._orders import is_helly
 from gmspace.spaces import (FiniteGms, MonoidTable, SizeGuard,
                             canonical_distance_space, space_from_json)
 
@@ -325,3 +326,89 @@ def test_hyperconvexity_matches_ball_family_enumeration():
     assert len(spaces) > 50 and any(verdicts) and not all(verdicts)
     for sp, got in zip(spaces, verdicts):
         assert got == hyperconvex_by_enumeration(sp), (sp.points, sp.monoid.elements)
+
+
+# --- the maximal-clique 2-Helly test that is_helly replaced, kept as its oracle ---
+
+
+def maximal_cliques(nodes: list, adjacent):
+    """Bron-Kerbosch over node indices; yields each maximal clique as a list."""
+    neigh = [set() for _ in nodes]
+    for i in range(len(nodes)):
+        for j in range(i + 1, len(nodes)):
+            if adjacent(i, j):
+                neigh[i].add(j)
+                neigh[j].add(i)
+    yield from _expand_cliques(neigh, set(), set(range(len(nodes))), set())
+
+
+def _expand_cliques(neigh: list[set], r: set, p: set, x: set):
+    if not p and not x:
+        yield sorted(r)
+        return
+    pivot = max(p | x, key=lambda v: len(neigh[v] & p))
+    for v in sorted(p - neigh[pivot]):
+        yield from _expand_cliques(neigh, r | {v}, p & neigh[v], x & neigh[v])
+        p = p - {v}
+        x = x | {v}
+
+
+def helly_by_cliques(sets, points):
+    """Any pairwise-intersecting family extends to a maximal clique of the
+    intersection graph, so it suffices to intersect the maximal cliques."""
+    sets = list(sets)
+    for clique in maximal_cliques(sets, lambda i, j: bool(sets[i] & sets[j])):
+        common = frozenset(points)
+        for i in clique:
+            common &= sets[i]
+        if not common:
+            return False
+    return True
+
+
+def random_spaces(rng, count):
+    """Seeded spaces of 4-8 points over the stock monoids: subspaces of
+    canonical spaces, and symmetric tables over the monoids in which every
+    product of nonzero values is the top, where any such table is a space."""
+    canonical = [canonical_distance_space(m) for m in (
+        MonoidTable.chain(7), MonoidTable.boolean("abc"),
+        MonoidTable.divisor_lattice(60), MonoidTable.zigzag_truncation())]
+    saturating = [MonoidTable.involutive_four(), MonoidTable.zigzag_truncation()]
+    for case in range(count):
+        if case % 2:
+            sp = rng.choice(canonical)
+            pts = rng.sample(sp.points, min(len(sp.points), rng.randint(4, 8)))
+            yield FiniteGms(pts, sp.monoid, {(x, y): sp.d(x, y)
+                                             for x in pts for y in pts})
+            continue
+        mon = rng.choice(saturating)
+        pts = [f"p{i}" for i in range(rng.randint(4, 8))]
+        dist = {(x, x): mon.zero for x in pts}
+        for x, y in itertools.combinations(pts, 2):
+            v = rng.choice([e for e in mon.elements if e != mon.zero])
+            dist[(x, y)], dist[(y, x)] = v, mon.inv(v)
+        yield FiniteGms(pts, mon, dist)
+
+
+def test_2helly_matches_maximal_cliques_on_random_spaces():
+    rng = random.Random(26)
+    verdicts = []
+    for sp in random_spaces(rng, 300):
+        got = sp.is_2helly()
+        assert got == helly_by_cliques(sp._ball_sets(), sp.points), \
+            (sp.points, sp.dist)
+        verdicts.append(got)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_helly_triple_test_matches_maximal_cliques_on_random_families():
+    rng = random.Random(27)
+    verdicts = []
+    for _ in range(3000):
+        points = list(range(rng.randint(1, 6)))
+        sets = {frozenset(rng.sample(points, rng.randint(1, len(points))))
+                for _ in range(rng.randint(1, 8))}
+        got = is_helly(sets, points)
+        assert got == helly_by_cliques(sets, points), (sets, points)
+        verdicts.append(got)
+    assert any(verdicts) and not all(verdicts)
