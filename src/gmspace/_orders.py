@@ -1,11 +1,17 @@
-"""Shared helpers for finite orders: bounds, the distance axioms and the
-Helly property of ball families."""
+"""Shared helpers for finite orders: bounds, the distance axioms, the
+Helly property of ball families, and the error for maps that break
+preservation."""
 from __future__ import annotations
 
 import itertools
 from typing import Callable, Collection, Iterable, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
+
+
+class PreservationViolated(ValueError):
+    """A partial map fails to preserve the relations it must preserve (the
+    members of a partition lattice, or the congruences on the integers)."""
 
 
 class MissingJoin(ValueError):

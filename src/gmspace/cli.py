@@ -25,9 +25,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import factorization, semirigid, zcong, zigzag
-from .partitions import (EquivSystem, PreservationViolated, crt_solve,
-                         is_arithmetical, kaarli_extend,
-                         orthogonal_family_search, sublattice_closure)
+from ._orders import PreservationViolated
+from .partitions import (EquivSystem, crt_solve, is_arithmetical,
+                         kaarli_extend, orthogonal_family_search,
+                         sublattice_closure)
 from .segments import FinalSegment
 from .spaces import space_from_json
 from .words import PLUS_MINUS
@@ -163,9 +164,10 @@ def _gms_check(args):
 
 def _gms_hyperconvex(args):
     space = space_from_json(args.space)
-    ok = space.is_hyperconvex()
-    return {"hyperconvex": ok, "convex": space.is_convex(),
-            "two_helly": space.is_2helly()}, 0 if ok else 1
+    convex, two_helly = space.is_convex(), space.is_2helly()
+    ok = convex and two_helly  # what ``is_hyperconvex`` decides
+    return {"hyperconvex": ok, "convex": convex,
+            "two_helly": two_helly}, 0 if ok else 1
 
 
 def _gms_fpp(args):
@@ -226,7 +228,7 @@ def _zcong_extend(args):
     f = {int(a): int(v) for a, v in args.pairs}
     try:
         value = zcong.extend_congruence_map(f, args.z)
-    except zcong.PreservationViolated as exc:
+    except PreservationViolated as exc:
         return {"status": "preservation_violated", "detail": str(exc)}, 1
     return {"status": "ok", "value": value}, 0
 

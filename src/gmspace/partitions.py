@@ -6,12 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ._orders import MissingJoin, NotResiduated, least_of
+from ._orders import MissingJoin, NotResiduated, PreservationViolated, least_of
 from .spaces import FiniteGms, MonoidTable, SizeGuard
-
-
-class PreservationViolated(ValueError):
-    """A partial map fails to preserve a member of the lattice."""
 
 
 @dataclass(frozen=True)

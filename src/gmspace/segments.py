@@ -16,7 +16,8 @@ two antichains.  The constructor checks canonical form; the kernel builds
 its results through ``FinalSegment._canonical``.
 
 ``in_macneille`` reads words through the vector of greedy match lengths of
-the generators, one state per vector, and builds no automaton.
+the generators, one state per vector, and builds no automaton; a principal
+segment is a member without a search.
 """
 from __future__ import annotations
 
@@ -27,16 +28,6 @@ from typing import Iterable, Optional
 from .words import PLUS_MINUS, Alphabet, AlphabetMismatch, Word, all_words, \
     covers, greedy_prefix_match, minimal_common_superwords, minimize_words, \
     sort_codes
-
-
-def meet_antichains(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
-    """Minimal codes of the union of two sorted antichains, or ``a`` itself
-    when ``a`` covers all of ``b``: the codes of b that a does not cover are
-    new, and a code of a stays unless a new code embeds into it."""
-    fresh = [y for y in b if not covers(a, y)]
-    if not fresh:
-        return a
-    return tuple(sort_codes([x for x in a if not covers(fresh, x)] + fresh))
 
 
 @dataclass(frozen=True)
@@ -100,10 +91,16 @@ class FinalSegment:
         return all(covers(self.generators, h) for h in other.generators)
 
     def meet(self, other: FinalSegment) -> FinalSegment:
-        """Lattice meet = set union."""
+        """Lattice meet = set union: the generators of other that self does
+        not cover are new, and one of self stays unless a new one embeds
+        into it."""
         self._check(other)
-        return FinalSegment._canonical(
-            self.alphabet, meet_antichains(self.generators, other.generators))
+        a = self.generators
+        fresh = [y for y in other.generators if not covers(a, y)]
+        if not fresh:
+            return self
+        return FinalSegment._canonical(self.alphabet, tuple(
+            sort_codes([x for x in a if not covers(fresh, x)] + fresh)))
 
     def join(self, other: FinalSegment) -> FinalSegment:
         """Lattice join = set intersection.
@@ -201,12 +198,22 @@ def in_macneille(z: FinalSegment) -> tuple[bool, Optional[tuple[Word, Word]]]:
     triples looks for a prefix u whose two one-letter extensions accept some
     common suffix v that the bare prefix does not; it returns a shortest
     witness.
+
+    A principal segment up(g) is a member without a search (a poset embeds
+    in its MacNeille completion): if g embeds into u+v and u-v but not uv,
+    let p be the greedy prefix match of g into u and s its greedy suffix
+    match into v; then p + s < len(g), so g[p:] does not embed into v, and
+    both embeddings force g[p] to be the inserted letter, + and - at once.
+    Membership is invariant under the involution, which maps u+v to
+    inv(v)-inv(u): a witness (u, v) for Z gives (inv(v), inv(u)) for inv(Z).
     """
     alpha = z.alphabet
     if len(alpha.letters) != 2 or \
             alpha.involute_letter(alpha.letters[0]) != alpha.letters[1]:
         raise ValueError("cancellation rule needs a two-letter involutive alphabet")
     gens = z.generators
+    if len(gens) == 1:
+        return True, None
     codes = [alpha.encode(a) for a in alpha.letters]
     steps: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 

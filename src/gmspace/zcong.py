@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-
-class PreservationViolated(ValueError):
-    """Input map does not preserve the integer congruences on its domain."""
+from ._orders import PreservationViolated
 
 
 class WindowTooSmall(ValueError):

@@ -5,19 +5,19 @@ zigzags that map homomorphically into the graph from x to y.  The row d(x, .)
 is the least solution of the triangle inequality over the one-step
 distances, computed by relaxation in the quantale of final segments; a
 single pair and the full matrix both read off such rows.  A row is relaxed
-on tuples of generator codes (see ``words``): a step is ``oplus`` by {+} or
-{-}, which appends one letter to every generator and keeps the antichain
-sorted and incomparable, so only the meet compares words.
+on generator codes (see ``words``) in order of word length: each layer
+extends by one letter only the words the previous layer added, and a word
+once inserted is never removed, because a minimal word of d(x, j) minus its
+last letter is minimal at the predecessor it came through.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from ._orders import axiom_violations
-from .segments import FinalSegment, in_macneille, meet_antichains
-from .words import PLUS_MINUS, Word, covers
+from .segments import FinalSegment, in_macneille
+from .words import PLUS_MINUS, Word, covers, sort_codes
 
 
 @dataclass(frozen=True)
@@ -61,49 +61,57 @@ class ReflexiveDigraph:
             raise ValueError(f"unknown vertex {v!r}") from None
 
 
-def _distances_from(g: ReflexiveDigraph, x: str) -> list[FinalSegment]:
-    """The row d(x, .): start from r(x) = 0 and the empty set elsewhere, and
-    relax r(j) <- r(j) meet (r(k) (+) step(k, j)) over the non-loop edges,
-    where a forward edge steps by {+} and a backward edge by {-}, until no
-    entry changes.
-
-    Entries only grow as word sets, and ascending chains of upsets are
-    finite (Higman), so the relaxation stops; its fixed point does not depend
-    on the order of the updates, and antichains are canonical.
-    """
-    ix = g._index(x)
+def _steps(g: ReflexiveDigraph) -> list[list[tuple[str, int]]]:
+    """Per vertex index, the (letter code, index) of each non-loop edge at
+    it: + to the head of an edge out of it, - to the tail of one into it."""
     pos = {v: i for i, v in enumerate(g.vertices)}
-    forward: list[list[int]] = [[] for _ in g.vertices]
-    backward: list[list[int]] = [[] for _ in g.vertices]
+    steps: list[list[tuple[str, int]]] = [[] for _ in g.vertices]
+    plus, minus = PLUS_MINUS.encode("+"), PLUS_MINUS.encode("-")
     for a, b in sorted(g.edges):  # a fixed order: the same work on every run
         if a != b:
-            forward[pos[a]].append(pos[b])
-            backward[pos[b]].append(pos[a])
-    plus, minus = PLUS_MINUS.encode("+"), PLUS_MINUS.encode("-")
-    r: list[tuple[str, ...]] = [()] * len(g.vertices)
-    r[ix] = ("",)
-    queue = deque([ix])
-    queued = {ix}
-    while queue:
-        k = queue.popleft()
-        queued.discard(k)
-        for step, targets in ((plus, forward[k]), (minus, backward[k])):
-            if not targets:
-                continue
-            reach = tuple([w + step for w in r[k]])
-            for j in targets:
-                new = meet_antichains(r[j], reach)
-                if new is r[j]:
-                    continue
-                r[j] = new
-                if j not in queued:
-                    queued.add(j)
-                    queue.append(j)
-    return [FinalSegment._canonical(PLUS_MINUS, row) for row in r]
+            steps[pos[a]].append((plus, pos[b]))
+            steps[pos[b]].append((minus, pos[a]))
+    return steps
+
+
+def _distances_from(steps: list[list[tuple[str, int]]], ix: int
+                    ) -> list[FinalSegment]:
+    """The row d(x, .) for x at index ix: the smallest upsets with the empty
+    word in r(x) and r(k) (+) {c} inside r(j) for every step (c, j) at k
+    (see ``_steps``).
+
+    The minimal words are found in order of length.  Layer 0 is the empty
+    word at x; layer n extends each word that layer n - 1 added at k by the
+    letter of every edge at k, and appends the candidate to r(j) unless
+    r(j) already covers it.  Every appended word is final: if w is minimal
+    in d(x, j) and its last letter steps from k, then w minus that letter is
+    minimal in d(x, k) (a smaller word there would give a smaller one at j),
+    so it was added in the previous layer; and when the candidate is not
+    minimal, a shorter generator, inserted in an earlier layer, covers it,
+    while words of the same length embed only when equal.  A layer that adds
+    nothing ends the relaxation; the antichains are finite (Higman), so one
+    does.  Each row is sorted once at the end.
+    """
+    r: list[list[str]] = [[] for _ in steps]
+    r[ix].append("")
+    layer = {ix: [""]}
+    while layer:
+        added: dict[int, list[str]] = {}
+        for k, words in layer.items():
+            for step, j in steps[k]:
+                row = r[j]
+                for u in words:
+                    w = u + step
+                    if not covers(row, w):  # row is sorted by length
+                        row.append(w)
+                        added.setdefault(j, []).append(w)
+        layer = added
+    return [FinalSegment._canonical(PLUS_MINUS, tuple(sort_codes(row)))
+            for row in r]
 
 
 def zigzag_distance(g: ReflexiveDigraph, x: str, y: str) -> FinalSegment:
-    row = _distances_from(g, x)
+    row = _distances_from(_steps(g), g._index(x))
     return row[g._index(y)]
 
 
@@ -130,7 +138,9 @@ class DistanceMatrix:
 
 def distance_matrix(g: ReflexiveDigraph) -> DistanceMatrix:
     """All zigzag distances, one relaxed row per vertex."""
-    rows = tuple(tuple(_distances_from(g, x)) for x in g.vertices)
+    steps = _steps(g)
+    rows = tuple(tuple(_distances_from(steps, ix))
+                 for ix in range(len(g.vertices)))
     # involution symmetry is checked on the computed entries, not derived
     n = len(g.vertices)
     for i in range(n):
@@ -242,13 +252,18 @@ def fence_distance(g: ReflexiveDigraph, x: str, y: str
 
 def oriented_embeddable(g: ReflexiveDigraph) -> tuple[bool, Optional[tuple]]:
     """True iff every zigzag distance value lies in the MacNeille completion,
-    i.e. the graph embeds isometrically into a product of oriented zigzags."""
+    i.e. the graph embeds isometrically into a product of oriented zigzags.
+
+    Only the entries above the diagonal are checked: d(y, x) is the
+    involute of d(x, y), and membership is invariant under the involution
+    (see ``in_macneille``), so a failing pair below the diagonal has a
+    failing mirror earlier in row order, and the first failing pair and its
+    witness are the same as over all pairs.
+    """
     m = distance_matrix(g)
     for i, x in enumerate(g.vertices):
-        for j, y in enumerate(g.vertices):
-            if i == j:
-                continue
+        for j in range(i + 1, len(g.vertices)):
             ok, witness = in_macneille(m.entries[i][j])
             if not ok:
-                return False, (x, y, witness)
+                return False, (x, g.vertices[j], witness)
     return True, None

@@ -1,9 +1,11 @@
 import json
+from collections import Counter
 
 import pytest
 
-from gmspace import automata
+from gmspace import _orders, automata, partitions, zcong
 from gmspace.cli import InputError, dispatch, parse_poly
+from gmspace.spaces import FiniteGms
 from gmspace.zcong import IntPoly
 
 
@@ -98,6 +100,27 @@ def test_gms_commands(tmp_path, capsys):
     assert code == 0
     code, out = run(capsys, "gms", "fpp", path)
     assert code == 1 and "witness" in out  # the swap has no fixed point
+
+
+def test_gms_hyperconvex_checks_each_property_once(tmp_path, capsys,
+                                                  monkeypatch):
+    calls = Counter()
+    for name in ("is_convex", "is_2helly", "is_hyperconvex", "check_axioms"):
+        def counted(self, _method=getattr(FiniteGms, name), _name=name):
+            calls[_name] += 1
+            return _method(self)
+        monkeypatch.setattr(FiniteGms, name, counted)
+    code, out = run(capsys, "--json", "gms", "hyperconvex",
+                    write(tmp_path, "space.json", SPACE2))
+    assert code == 0 and json.loads(out)["result"] == \
+        {"hyperconvex": True, "convex": True, "two_helly": True}
+    # is_convex and is_2helly each check the axioms once
+    assert calls == {"is_convex": 1, "is_2helly": 1, "check_axioms": 2}
+
+
+def test_one_preservation_error_class():
+    assert partitions.PreservationViolated is zcong.PreservationViolated \
+        is _orders.PreservationViolated
 
 
 def test_gms_rejects_malformed_spaces(tmp_path, capsys):

@@ -269,3 +269,27 @@ def test_serialization_round_trip():
         assert FinalSegment.from_json(z.to_json(), A) == z
     assert ZERO.to_json() == [""]
     assert EMPTY.to_json() == []
+
+
+def test_principal_segments_are_members():
+    # the search finds no witness either: the shortcut skips nothing
+    for v in all_words(A, 8):
+        z = FinalSegment(A, (v.code,))
+        assert in_macneille(z) == (True, None), str(z)
+        assert macneille_via_automata(z) == (True, None), str(z)
+
+
+def test_macneille_is_invariant_under_the_involution():
+    rng = random.Random(12)
+    plus, minus = w("+"), w("-")
+    for _ in range(1500):
+        gens = ["".join(rng.choice("+-") for _ in range(rng.randint(0, 6)))
+                for _ in range(rng.randint(1, 5))]
+        z = FinalSegment.of(A, gens)
+        ok, witness = in_macneille(z)
+        assert ok == in_macneille(z.involute())[0], str(z)
+        if not ok:  # (u, v) for z mirrors to (inv(v), inv(u)) for inv(z)
+            u, v = witness[1].involute(), witness[0].involute()
+            iz = z.involute()
+            assert iz.contains(u + plus + v) and iz.contains(u + minus + v)
+            assert not iz.contains(u + v)

@@ -1,11 +1,12 @@
 import json
 import random
+from collections import deque
 from itertools import combinations, product
 
 import pytest
 
 from gmspace import automata
-from gmspace.segments import FinalSegment
+from gmspace.segments import FinalSegment, in_macneille
 from gmspace.words import PLUS_MINUS, Word, all_words
 from gmspace.zigzag import (DistanceMatrix, ReflexiveDigraph, distance_matrix,
                             fence_distance, graph_from_matrix, is_graph_hom,
@@ -357,6 +358,61 @@ def test_embeddable_zigzag_any_orientation():
                 edges.append((vs[i + 1], vs[i]))
         ok, _ = oriented_embeddable(ReflexiveDigraph.of(vs, edges))
         assert ok
+
+
+def matrix_by_worklist(g):
+    """Oracle: the rows relaxed by a FIFO worklist of changed entries,
+    r(j) <- r(j) meet (r(k) (+) step), until no entry changes."""
+    n = len(g.vertices)
+    step = {"+": seg("+"), "-": seg("-")}
+    moves = [[] for _ in range(n)]
+    for a, b in g.edges:
+        if a != b:
+            moves[g._index(a)].append(("+", g._index(b)))
+            moves[g._index(b)].append(("-", g._index(a)))
+    rows = []
+    for x in range(n):
+        r = [FinalSegment.empty(A)] * n
+        r[x] = FinalSegment.zero(A)
+        queue = deque([x])
+        while queue:
+            k = queue.popleft()
+            for letter, j in moves[k]:
+                new = r[j].meet(r[k].oplus(step[letter]))
+                if new != r[j]:
+                    r[j] = new
+                    queue.append(j)
+        rows.append(tuple(r))
+    return tuple(rows)
+
+
+def embeddable_over_all_pairs(g, entries):
+    """Oracle: MacNeille membership of every off-diagonal entry, in row
+    order."""
+    for i, x in enumerate(g.vertices):
+        for j, y in enumerate(g.vertices):
+            if i != j:
+                ok, witness = in_macneille(entries[i][j])
+                if not ok:
+                    return False, (x, y, witness)
+    return True, None
+
+
+def test_rows_and_embeddability_match_all_pair_oracles():
+    rng = random.Random(31)
+    verdicts = set()
+    for trial in range(2000):
+        density = (0.1, 0.2, 0.3, 0.5, 0.8)[trial % 5]
+        n = rng.randint(1, 9)
+        vs = [f"v{i}" for i in range(n)]
+        g = ReflexiveDigraph.of(vs, [(a, b) for a in vs for b in vs
+                                     if a != b and rng.random() < density])
+        want = matrix_by_worklist(g)
+        assert distance_matrix(g).entries == want
+        got = oriented_embeddable(g)
+        assert got == embeddable_over_all_pairs(g, want)
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
 
 
 def test_graph_json_round_trip():
