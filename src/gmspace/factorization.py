@@ -1,74 +1,76 @@
 """Factorization of nonempty final segments into irreducibles.
 
 The nonempty final segments of a free monoid of words form a free monoid
-under concatenation; every member factors uniquely into irreducibles.  The
-decomposition search enumerates candidate left factors among antichains of
-proper prefixes of the generators and derives the right partner by
-residuation, which is the unique maximal partner.
+under concatenation; every member factors uniquely into irreducibles.
 
-Completeness of the prefix candidate space rests on cancellativity: every
-minimal word of g (+) h splits as a minimal-g prefix times a minimal-h
-suffix, and a generator of g used by no such split would contradict
-cancellation.
+A split f = g (+) h, neither side the full word set, is read off the
+generators of f.  By cancellativity every generator u of g is used by a
+minimal word u + v of f with v a generator of h (else g without u would give
+the same product), and so is every generator v of h, which is nonempty.  So g
+is an antichain of proper prefixes, and every generator w of f starts with
+exactly one member u of g (the prefixes of w form a chain), with w[len(u):] a
+generator of h.  `_splits` grows g depth first over the sorted proper
+prefixes.  When every generator of f starts with a member, the remainders
+generate the one possible partner h, unique by cancellativity (the residual
+of f by g).  Then g (+) h contains every w = u + w[len(u):], so it equals f
+iff it lies in f: iff u + v is in f for every member u and remainder v.
+
+Unique factorization makes any split as good as the leftmost, since factoring
+both sides gives the one irreducible sequence: `factorize` takes the first
+split found and works from an explicit stack, and `is_irreducible` asks for
+one split.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, reduce
 
-from .segments import FinalSegment, residual
+from .segments import FinalSegment
 from .spaces import SizeGuard
-from .words import is_antichain, sort_codes
+from .words import covers, minimize_words, sort_codes
 
 
 class EmptySegment(ValueError):
     """Factorization is defined on nonempty final segments only."""
 
 
-def _proper_prefixes(f: FinalSegment) -> list[str]:
-    return sort_codes({g[:k] for g in f.generators for k in range(1, len(g))})
-
-
-def _candidate_antichains(prefixes: list[str], guard: int = 1 << 16):
-    """Antichains among the sorted prefixes; each comes out sorted."""
-    count = 0
-    for r in range(1, len(prefixes) + 1):
-        for combo in combinations(prefixes, r):
-            if is_antichain(combo):
-                count += 1
-                if count > guard:
-                    raise SizeGuard(f"more than {guard} candidate antichains")
-                yield combo
-
-
-def left_partner(f: FinalSegment, g: FinalSegment) -> FinalSegment:
-    """Least h with f <= g (+) h, i.e. the left residual of f by g."""
-    return residual(f, g, "left")
+def _splits(f: FinalSegment, guard: int = 1 << 16):
+    """Every split f = g (+) h, with h the canonical partner of g; more than
+    `guard` candidate antichains g raise SizeGuard."""
+    words, alphabet = f.generators, f.alphabet
+    prefixes = sort_codes({w[:k] for w in words for k in range(1, len(w))})
+    # below[i]: bitmask of the earlier prefixes embedding into prefixes[i]
+    below = [-1] * len(prefixes)
+    stack: list[tuple[tuple[str, ...], int, int]] = [((), 0, 0)]
+    visited = 0
+    while stack:
+        g, mask, start = stack.pop()
+        if g:
+            visited += 1
+            if visited > guard:
+                raise SizeGuard(f"more than {guard} candidate antichains")
+            if all(w.startswith(g) for w in words):
+                # the members that start w form a chain: there is just one
+                tails = [w[len(u):] for w in words for u in g if w.startswith(u)]
+                if all(covers(words, u + v) for u in g for v in tails):
+                    yield (FinalSegment._canonical(alphabet, g),
+                           FinalSegment._canonical(alphabet, minimize_words(tails)))
+        # a later prefix is no shorter than the members, so it joins the
+        # antichain unless one of them embeds into it
+        for i in range(len(prefixes) - 1, start - 1, -1):
+            if mask and below[i] < 0:
+                below[i] = sum(1 << j for j in range(i)
+                               if covers((prefixes[j],), prefixes[i]))
+            if not mask & below[i]:
+                stack.append((g + (prefixes[i],), mask | 1 << i, i + 1))
 
 
 @lru_cache(maxsize=None)
 def decompose_once(f: FinalSegment) -> tuple[tuple[FinalSegment, FinalSegment], ...]:
-    """All proper splittings f = g (+) h with h the canonical partner of g.
-
-    Every factorization has its left factor generated by proper prefixes of
-    the minimal words of f (a full word as a generator would force the
-    partner to be the neutral element), so scanning prefix antichains is
-    complete.
-    """
+    """All proper splits f = g (+) h, sorted by the generators of g."""
     if f.is_empty_set():
         raise EmptySegment("cannot decompose the empty segment")
-    out = []
-    for combo in _candidate_antichains(_proper_prefixes(f)):
-        g = FinalSegment._canonical(f.alphabet, combo)
-        if g.is_zero():
-            continue
-        h = left_partner(f, g)
-        if h.is_zero() or h.is_empty_set():
-            continue
-        if g.oplus(h) == f:
-            out.append((g, h))
-    out.sort(key=lambda gh: tuple((len(w), w) for w in gh[0].generators))
-    return tuple(out)
+    return tuple(sorted(_splits(f), key=lambda gh: tuple(
+        (len(w), w) for w in gh[0].generators)))
 
 
 @lru_cache(maxsize=None)
@@ -77,39 +79,27 @@ def is_irreducible(f: FinalSegment) -> bool:
     segment is irreducible by convention."""
     if f.is_empty_set():
         return True
-    if f.is_zero():
-        return False
-    return not decompose_once(f)
+    return not f.is_zero() and next(_splits(f), None) is None
 
 
 def factorize(f: FinalSegment) -> list[FinalSegment]:
-    """The unique irreducible factor sequence, by leftmost decomposition.
-
-    The full word set factors as the empty sequence.  Recomposition is
-    asserted; by freeness all decomposition orders agree, which the test
-    suite checks by enumerating whole decomposition trees.
-    """
+    """The unique irreducible factor sequence; the full word set factors as
+    the empty sequence.  Both sides of the first split found are factored in
+    turn, and recomposition is asserted."""
     if f.is_empty_set():
         raise EmptySegment("cannot factorize the empty segment")
-    factors = _leftmost(f)
-    recomposed = FinalSegment.zero(f.alphabet)
-    for part in factors:
-        recomposed = recomposed.oplus(part)
-    if recomposed != f:
+    factors: list[FinalSegment] = []
+    todo = [] if f.is_zero() else [f]
+    while todo:
+        part = todo.pop()
+        split = next(_splits(part), None)
+        if split is None:
+            factors.append(part)
+        else:
+            todo.extend(reversed(split))  # the left side comes off first
+    if reduce(FinalSegment.oplus, factors, FinalSegment.zero(f.alphabet)) != f:
         raise AssertionError("factorization does not recompose: engine bug")
     return factors
-
-
-def _leftmost(f: FinalSegment) -> list[FinalSegment]:
-    if f.is_zero():
-        return []
-    pairs = decompose_once(f)
-    if not pairs:
-        return [f]
-    for g, h in pairs:
-        if is_irreducible(g):
-            return [g] + _leftmost(h)
-    raise AssertionError("no irreducible left factor found: engine bug")
 
 
 def all_factor_sequences(f: FinalSegment) -> set[tuple[FinalSegment, ...]]:

@@ -146,7 +146,9 @@ def is_semirigid(system: EquivSystem, guard: int = 12
     only subtrees without a witness and leaves every domain as it would be
     without it, so the witness stays the same.  A domain is held as the
     carrier indices of such a set, in its iteration order; the set of points
-    itself is built once per distinct sequence of surviving points."""
+    itself is built once per distinct sequence of surviving points.  Only
+    numbers and tuples of numbers hash alike in every process: any other
+    carrier (str hashes are salted) builds these sets on its indices."""
     carrier = system.carrier
     n = len(carrier)
     if n > guard:
@@ -155,14 +157,17 @@ def is_semirigid(system: EquivSystem, guard: int = 12
         return True, None
     index = {x: i for i, x in enumerate(carrier)}
     allowed = _allowed_by(system, index)
+    stable = all(isinstance(c, (int, float, Fraction)) for x in carrier
+                 for c in (x if isinstance(x, tuple) else (x,)))
+    labels, slot = (carrier, index) if stable else (range(n), range(n))
     orders: dict = {}
 
     def rebuilt(kept: tuple) -> tuple:
-        # iteration order of the set of points inserted in the order of kept
+        # iteration order of the set of labels inserted in the order of kept
         order = orders.get(kept)
         if order is None:
-            order = orders[kept] = tuple(index[p] for p in
-                                         {carrier[i] for i in kept})
+            order = orders[kept] = tuple(slot[p] for p in
+                                         {labels[i] for i in kept})
         return order
 
     exhausted = [set() for _ in carrier]

@@ -240,6 +240,7 @@ class FiniteGms:
             for y in self.points:
                 if (x, y) not in self.dist or self.dist[(x, y)] not in elems:
                     raise ValueError(f"distance undefined at {(x, y)!r}")
+        self._violations: Optional[list[tuple]] = None
 
     def d(self, x, y):
         return self.dist[(x, y)]
@@ -252,9 +253,11 @@ class FiniteGms:
         return axiom_violations(self.points, rows, m.zero, m.inv, m.leq, m.oplus)
 
     def _require_axioms(self):
-        bad = self.check_axioms()
-        if bad:
-            raise ValueError(f"space violates the distance axioms: {bad[0]}")
+        if self._violations is None:  # once per space: the table is fixed
+            self._violations = self.check_axioms()
+        if self._violations:
+            raise ValueError("space violates the distance axioms: "
+                             f"{self._violations[0]}")
 
     def ball(self, x, r) -> frozenset:
         return frozenset(y for y in self.points if self.monoid.leq(self.d(x, y), r))

@@ -65,6 +65,8 @@ INPUTS = {
     "discrete3": {"carrier": [0, 1, 2], "relations": [[[0], [1], [2]]]},
     "pairs3": {"carrier": [0, 1, 2],
                "relations": [[[0, 1], [2]], [[0, 2], [1]], [[1, 2], [0]]]},
+    "letters": [[["a", "b"], ["c", "d"], ["e", "f"]],
+                [["a", "c"], ["b", "d", "e", "f"]]],
     "triangle": [[0, 0], [1, 0], [0, 1]],
     "square": [[0, 0], [1, 0], [0, 1], [1, 1]],
     "product": ["+-"],
@@ -112,6 +114,7 @@ ARGVS = [
     ["zcong", "affine", "@swapped"],
     ["semirigid", "check", "@discrete3"],
     ["semirigid", "check", "@pairs3"],
+    ["semirigid", "check", "@letters"],
     ["semirigid", "zadori", "6"],
     ["semirigid", "zadori", "6", "--check"],
     ["semirigid", "zadori", "4"],

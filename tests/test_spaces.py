@@ -74,6 +74,16 @@ def test_hyperconvexity_examples():
     assert not sp.is_hyperconvex()
 
 
+def test_properties_raise_on_every_call_when_axioms_fail():
+    mon = MonoidTable.chain(1)
+    bad = FiniteGms(["x", "y"], mon, {("x", "x"): 0, ("y", "y"): 0,
+                                      ("x", "y"): 0, ("y", "x"): 0})
+    for check in (bad.is_convex, bad.is_2helly, bad.is_convex,
+                  bad.is_hyperconvex, bad.has_normal_structure):
+        with pytest.raises(ValueError, match="violates the distance axioms"):
+            check()
+
+
 def test_hyperconvex_decomposition_is_consistent():
     for mon in (MonoidTable.chain(2), MonoidTable.boolean("a")):
         sp = canonical_distance_space(mon)
