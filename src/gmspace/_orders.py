@@ -1,6 +1,6 @@
 """Shared helpers for finite orders: bounds, the distance axioms, the
-Helly property of ball families, and the error for maps that break
-preservation."""
+Helly property of ball families, the error for maps that break
+preservation, and the search for maps that preserve binary relations."""
 from __future__ import annotations
 
 import itertools
@@ -93,3 +93,65 @@ def is_helly(sets: Collection[frozenset], points: Sequence) -> bool:
         if not common:
             return False
     return True
+
+
+def first_map(domains: Sequence[tuple], allowed: Sequence[Sequence[dict]], *,
+              fewest_first: bool = False, reorder: Optional[Callable] = None,
+              seed: Optional[tuple] = None, forbidden: Optional[Sequence] = None,
+              leaf: Optional[Callable] = None) -> Optional[dict]:
+    """The first map f of the variables 0..n-1, in depth-first order, with
+    f(x) in domains[x] and not in forbidden[x], f(y) in allowed[x][f(x)][y]
+    wherever that entry exists, and leaf(f) true; its keys follow the order
+    of assignment.  Each pair is checked from the side assigned first, so a
+    table allowing w for y after x = v must allow v for x after y = w.
+
+    Variables go in index order, or with `fewest_first` the one with the
+    fewest values left, lowest index first.  Assigning x = v keeps in each
+    free domain, in order, the values in allowed[x][v].get(y) (all if None);
+    `reorder` then orders what is kept, and a domain left with forbidden
+    values only cuts the branch.  A `seed` (x0, v0) is assigned first; its
+    limits allowed[x0][v0] apply only as the root branches and narrows, so
+    that the root's variable order does not see them."""
+    forbidden = forbidden or [frozenset()] * len(domains)
+    assign, pending = {}, {}
+    if seed:
+        x0, v0 = seed
+        assign, pending = {x0: v0}, allowed[x0][v0]
+    return _extend(allowed, forbidden, reorder, leaf, fewest_first, assign,
+                   dict(enumerate(domains)), pending)
+
+
+def _extend(allowed, forbidden, reorder, leaf, fewest_first, assign, domains,
+            pending) -> Optional[dict]:
+    """One level of `first_map`; no closure holds its tables."""
+    n = len(domains)
+    if len(assign) == n:
+        return dict(assign) if leaf is None or leaf(assign) else None
+    x = min((len(domains[y]) if fewest_first else 0, y)
+            for y in range(n) if y not in assign)[1]
+    only = pending.get(x)
+    for v in domains[x]:
+        if v in forbidden[x] or (only is not None and v not in only):
+            continue
+        assign[x] = v
+        limits = allowed[x][v]
+        saved = {}
+        for y in range(n):
+            if y in assign:
+                continue
+            ok = limits.get(y)
+            if y in pending:
+                ok = pending[y] if ok is None else ok & pending[y]
+            saved[y] = old = domains[y]
+            keep = old if ok is None else tuple(w for w in old if w in ok)
+            domains[y] = keep = keep if reorder is None else reorder(keep)
+            if forbidden[y].issuperset(keep):
+                break
+        else:
+            found = _extend(allowed, forbidden, reorder, leaf, fewest_first,
+                            assign, domains, {})
+            if found:
+                return found
+        domains.update(saved)
+        del assign[x]
+    return None

@@ -66,11 +66,12 @@ def parse_poly(text: str) -> IntPoly:
         if not m or (m.group(2) is None and m.group(3) is None
                      and m.group(5) is None):
             raise InputError(f"cannot parse term {raw.strip()!r} in {text!r}")
-        coef = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        try:
+            coef = Fraction(m.group(2) or 1) / int(m.group(6) or 1)
+        except ZeroDivisionError:
+            raise InputError(f"zero denominator in {raw.strip()!r}") from None
         if m.group(1) == "-":
             coef = -coef
-        if m.group(6):
-            coef /= int(m.group(6))
         if m.group(5) is not None:  # C(x, k)
             if coef.denominator != 1:
                 raise InputError("binomial terms need integer coefficients")
@@ -182,13 +183,12 @@ def _eqv_arithmetical(args):
 
 
 def _eqv_crt(args):
-    system = _system_from_json(args.input)
-    lattice = list(sublattice_closure(system.relations))
-    constraints = [(a, system.relations[i]) for a, i in args.input["constraints"]]
-    for _, theta in constraints:
-        if theta not in lattice:
-            lattice.append(theta)
-    res = crt_solve(lattice, constraints)
+    rels = _system_from_json(args.input).relations
+    pairs = args.input["constraints"]
+    bad = [i for _, i in pairs if type(i) is not int or not 0 <= i < len(rels)]
+    if bad:
+        raise InputError(f"no relation {bad[0]!r} among the {len(rels)} given")
+    res = crt_solve(sublattice_closure(rels), [(a, rels[i]) for a, i in pairs])
     result = {"status": res.status}
     if res.status == "ok":
         result["solution"] = res.solution

@@ -140,9 +140,12 @@ class FinalSegment:
         return [self.alphabet.text(g) for g in self.generators]
 
     @classmethod
-    def from_json(cls, payload: Iterable[str],
+    def from_json(cls, payload: list[str],
                   alphabet: Alphabet = PLUS_MINUS) -> FinalSegment:
-        return cls.of(alphabet, list(payload))
+        if not (isinstance(payload, list)
+                and all(isinstance(w, str) for w in payload)):
+            raise ValueError("a final segment is a JSON list of words")
+        return cls.of(alphabet, payload)
 
     def _check(self, other: FinalSegment):
         if not self.alphabet.same(other.alphabet):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from ._orders import first_map
 from .partitions import EquivSystem, Partition
 from .spaces import SizeGuard
 
@@ -30,7 +31,10 @@ def parse_points(payload: Iterable) -> tuple[Point, ...]:
     pts = []
     for p in payload:
         x, y = p
-        pts.append((Fraction(str(x)), Fraction(str(y))))
+        try:
+            pts.append((Fraction(str(x)), Fraction(str(y))))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in point {p!r}") from None
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate points")
     return tuple(sorted(pts))
@@ -128,27 +132,24 @@ def _is_witness(carrier, f) -> bool:
 
 def is_semirigid(system: EquivSystem, guard: int = 12
                  ) -> tuple[bool, Optional[dict]]:
-    """Backtracking search for a preserving map that is neither the identity
-    nor constant.
+    """Search for a preserving map that is neither the identity nor constant.
 
-    One search per seed f(x0) = v0 with v0 != x0, in carrier order: every
-    non-identity map moves some point, and constants are filtered at the
-    leaves.  Below a seed the most constrained variable goes first, and
-    forward checking narrows the other domains by the new pair alone, since
-    every domain already agrees with the earlier pairs.  An exhausted seed
-    proves that no witness has f(x0) = v0, so later seeds skip the value v0
-    for x0 and treat a domain holding only such values as dead.
+    One `first_map` search per seed f(x0) = v0 with v0 != x0, in carrier
+    order, since every non-identity map moves some point; constants are
+    filtered at the leaves.  f(x) = v limits f(y), for y sharing a block
+    with x, to the meet of v's blocks over the relations relating x and y.
+    An exhausted seed proves that no witness has f(x0) = v0, so later seeds
+    forbid v0 for x0.  That cuts only subtrees without a witness and leaves
+    every domain as it would be without it, so the witness stays the same.
 
     The witness is the first one found, so it depends on the seed order, the
-    variable order and the iteration order of the domains, which are sets of
-    carrier points and follow the points' hashes.  Relabelling the carrier or
-    merging the seeds into one search would change it.  The pruning skips
-    only subtrees without a witness and leaves every domain as it would be
-    without it, so the witness stays the same.  A domain is held as the
-    carrier indices of such a set, in its iteration order; the set of points
-    itself is built once per distinct sequence of surviving points.  Only
-    numbers and tuples of numbers hash alike in every process: any other
-    carrier (str hashes are salted) builds these sets on its indices."""
+    variable order (fewest values first) and the order of the domains, which
+    are sets of carrier points and follow the points' hashes; relabelling
+    the carrier or merging the seeds would change it.  A domain is held as
+    the carrier indices of such a set, in its iteration order, built once
+    per distinct sequence of surviving points.  Only numbers and tuples of
+    numbers hash alike in every process: any other carrier (str hashes are
+    salted) builds these sets on its indices."""
     carrier = system.carrier
     n = len(carrier)
     if n > guard:
@@ -156,7 +157,15 @@ def is_semirigid(system: EquivSystem, guard: int = 12
     if n <= 1:
         return True, None
     index = {x: i for i, x in enumerate(carrier)}
-    allowed = _allowed_by(system, index)
+    blocks = [[frozenset(index[y] for y in rho.block_of(x))
+               for rho in system.relations] for x in carrier]
+    allowed = [[{} for _ in carrier] for _ in carrier]
+    for x, v in itertools.product(range(n), repeat=2):
+        limits = allowed[x][v]
+        for block, image in zip(blocks[x], blocks[v]):
+            for y in block:
+                if y != x:
+                    limits[y] = limits[y] & image if y in limits else image
     stable = all(isinstance(c, (int, float, Fraction)) for x in carrier
                  for c in (x if isinstance(x, tuple) else (x,)))
     labels, slot = (carrier, index) if stable else (range(n), range(n))
@@ -171,84 +180,20 @@ def is_semirigid(system: EquivSystem, guard: int = 12
         return order
 
     exhausted = [set() for _ in carrier]
-    everything = rebuilt(tuple(range(n)))
-    for x0 in range(n):
-        for v0 in range(n):
-            if v0 == x0:
-                continue
-            # the seed pair narrows the root domains only as each is branched
-            # on or rebuilt, so that the root's variable order is unchanged
-            found = _search(allowed, exhausted, rebuilt, {x0: v0},
-                            dict.fromkeys(range(n), everything), allowed[x0][v0])
-            if found:
-                witness = {carrier[i]: carrier[v] for i, v in found.items()}
-                if not (system.preserves(witness)
-                        and _is_witness(carrier, witness)):
-                    raise AssertionError(
-                        "is_semirigid found a map that is not a witness: "
-                        "engine bug")
-                return False, witness
-            exhausted[x0].add(v0)
+    everything = [rebuilt(tuple(range(n)))] * n
+    for x0, v0 in itertools.permutations(range(n), 2):
+        found = first_map(everything, allowed, fewest_first=True,
+                          reorder=rebuilt, seed=(x0, v0), forbidden=exhausted,
+                          leaf=lambda f: _is_witness(range(n), f))
+        if found:
+            witness = {carrier[i]: carrier[v] for i, v in found.items()}
+            if not (system.preserves(witness)
+                    and _is_witness(carrier, witness)):
+                raise AssertionError("is_semirigid found a map that is not "
+                                     "a witness: engine bug")
+            return False, witness
+        exhausted[x0].add(v0)
     return True, None
-
-
-def _search(allowed, exhausted, rebuilt, assign, domains, seed_limits
-            ) -> Optional[dict]:
-    """One level of the `is_semirigid` search; no closure holds its tables."""
-    n = len(allowed)
-    if len(assign) == n:
-        return dict(assign) if _is_witness(range(n), assign) else None
-    x = min((y for y in range(n) if y not in assign),
-            key=lambda y: len(domains[y]))
-    seed_ok = seed_limits.get(x)
-    for v in domains[x]:
-        if v in exhausted[x] or (seed_ok is not None and v not in seed_ok):
-            continue
-        assign[x] = v
-        limits = allowed[x][v]
-        pruned = {}
-        dead = False
-        for y in range(n):
-            if y in assign:
-                continue
-            ok = limits.get(y)
-            if y in seed_limits:
-                ok = seed_limits[y] if ok is None else ok & seed_limits[y]
-            old = domains[y]
-            keep = rebuilt(old if ok is None else
-                           tuple(w for w in old if w in ok))
-            pruned[y] = old
-            domains[y] = keep
-            if exhausted[y].issuperset(keep):
-                dead = True
-                break
-        if not dead:
-            found = _search(allowed, exhausted, rebuilt, assign, domains, {})
-            if found:
-                return found
-        domains.update(pruned)
-        del assign[x]
-    return None
-
-
-def _allowed_by(system: EquivSystem, index: dict) -> list[list[dict]]:
-    """allowed[x][v] maps each y sharing a block with x to the indices that
-    f(y) may take once f(x) = v: the meet, over the relations relating x and
-    y, of v's blocks."""
-    blocks = [[frozenset(index[y] for y in rho.block_of(x))
-               for rho in system.relations] for x in system.carrier]
-    allowed = []
-    for x, x_blocks in enumerate(blocks):
-        row = []
-        for v_blocks in blocks:
-            limits: dict = {}
-            for block, image in zip(x_blocks, v_blocks):
-                for y in block:
-                    if y != x:
-                        limits[y] = limits[y] & image if y in limits else image
-            row.append(limits)
-        allowed.append(row)
-    return allowed
 
 
 # --- plane geometry -------------------------------------------------------------
@@ -278,9 +223,10 @@ def triangles(points: Sequence[Point]) -> list[Triangle]:
     """All nontrivial triangles in the set: corner (a,b) with (a+t,b) and
     (a,b+t) for a nonzero offset t."""
     pts = set(points)
+    ordered = sorted(pts)
     out = []
-    for (a, b) in sorted(pts):
-        for (c, d) in sorted(pts):
+    for (a, b) in ordered:
+        for (c, d) in ordered:
             if d == b and c != a:
                 t = c - a
                 if (a, b + t) in pts:
@@ -299,44 +245,37 @@ def is_monogenic(points: Sequence[Point]
     monogenic, which would break the semirigidity theorem.
     """
     pts = tuple(sorted(points))
-    tris = triangles(pts)
+    tris = [t.points() for t in triangles(pts)]
     seeds = [()] if not pts else \
         [(p,) for p in pts] + list(itertools.combinations(pts, 2))
     for seed in seeds:
-        reached_pts = set(seed)
+        reached = set(seed)
         remaining = list(tris)
         grew = True
-        reached_tris = []
         while grew:
             grew = False
             for t in list(remaining):
-                if len(t.points() & reached_pts) >= 2:
+                if len(t & reached) >= 2:
                     remaining.remove(t)
-                    reached_tris.append(t)
-                    reached_pts |= t.points()
+                    reached |= t
                     grew = True
-        if not remaining and reached_pts == set(pts):
+        if not remaining and reached == set(pts):
             return True, seed
     return False, None
 
 
 def has_center_of_symmetry(points: Sequence[Point]
                            ) -> tuple[bool, Optional[Point]]:
-    """Search pairwise midpoints (and the bounding-box midpoint) for a point
-    c with 2c - C = C; a center fixing a point of C is that point itself and
-    is covered by the self-midpoints."""
-    pts = sorted(points)
+    """The point c with 2c - C = C, if any.  The reflection in c reverses
+    the lexicographic order, so it swaps the least and greatest points and c
+    is their midpoint: the one candidate, tested in linear time."""
+    pts = set(points)
     if not pts:
         return False, None
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    candidates = {((min(xs) + max(xs)) / 2, (min(ys) + max(ys)) / 2)}
-    candidates.update(((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
-                      for p in pts for q in pts)
-    sset = set(pts)
-    for c in sorted(candidates):
-        if all((2 * c[0] - p[0], 2 * c[1] - p[1]) in sset for p in pts):
-            return True, c
+    (a, b), (p, q) = min(pts), max(pts)
+    c = ((a + p) / 2, (b + q) / 2)
+    if all((2 * c[0] - x, 2 * c[1] - y) in pts for x, y in pts):
+        return True, c
     return False, None
 
 
@@ -372,45 +311,29 @@ def band_truncation(x_range: tuple[int, int]) -> tuple[Point, ...]:
 
 def system_isomorphism(a: EquivSystem, b: EquivSystem) -> Optional[dict]:
     """A carrier bijection carrying the relations of one system onto the
-    other's, in some relation order; None when none exists."""
-    if len(a.carrier) != len(b.carrier) or \
-            len(a.relations) != len(b.relations):
+    other's, in some relation order; None when none exists.  For each order
+    of b's relations, `first_map` maps a's points in carrier order, each to
+    the unused points of b with the same block sizes, in carrier order."""
+    n = len(a.carrier)
+    if len(b.carrier) != n or len(b.relations) != len(a.relations) or \
+            sorted(sorted(map(len, r.blocks)) for r in a.relations) != \
+            sorted(sorted(map(len, r.blocks)) for r in b.relations):
         return None
-
-    for perm in itertools.permutations(range(len(b.relations))):
-        sizes_a = sorted(sorted(len(blk) for blk in r.blocks)
-                         for r in a.relations)
-        sizes_b = sorted(sorted(len(b.relations[i].blocks[j])
-                                for j in range(len(b.relations[i].blocks)))
-                         for i in perm)
-        if sizes_a != sizes_b:
-            continue
-        prof_b: dict = {}
-        for y in b.carrier:
-            prof_b.setdefault(_profile(b, y, perm), []).append(y)
-        iso = _backtrack_iso(a, b, perm, prof_b, {})
-        if iso:
-            return iso
-    return None
-
-
-def _profile(system, x, perm):
-    return tuple(len(system.relations[i].block_of(x)) for i in perm)
-
-
-def _backtrack_iso(a, b, perm, prof_b, assign: dict) -> Optional[dict]:
-    if len(assign) == len(a.carrier):
-        return dict(assign)
-    x = next(z for z in a.carrier if z not in assign)
-    for y in prof_b.get(_profile(a, x, range(len(a.relations))), []):
-        if y in assign.values():
-            continue
-        ok = all(a.relations[i].same(x, z) == b.relations[perm[i]].same(y, w)
-                 for i in range(len(a.relations)) for z, w in assign.items())
-        if ok:
-            assign[x] = y
-            found = _backtrack_iso(a, b, perm, prof_b, assign)
-            if found:
-                return found
-            del assign[x]
+    for perm in itertools.permutations(b.relations):
+        # per system, each point's block sizes and, for each pair of points,
+        # the relations relating them
+        (size_a, sig_a), (size_b, sig_b) = [
+            ([tuple(len(r.block_of(x)) for r in rels) for x in pts],
+             [[tuple(r.same(x, z) for r in rels) for z in pts] for x in pts])
+            for pts, rels in ((a.carrier, a.relations), (b.carrier, perm))]
+        images = [{} for _ in range(n)]  # y -> signature -> the w != y
+        for y, w in itertools.permutations(range(n), 2):
+            images[y].setdefault(sig_b[y][w], set()).add(w)
+        allowed = [[{z: images[y].get(sig_a[x][z], ()) for z in range(n)
+                     if z != x} for y in range(n)] for x in range(n)]
+        domains = [tuple(y for y in range(n) if size_b[y] == size_a[x])
+                   for x in range(n)]
+        found = first_map(domains, allowed)
+        if found:
+            return {a.carrier[x]: b.carrier[y] for x, y in found.items()}
     return None

@@ -9,8 +9,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ._orders import MissingJoin, NotResiduated, axiom_violations, is_helly, \
-    join_of, least_of, meet_of
+from ._orders import MissingJoin, NotResiduated, axiom_violations, \
+    first_map, is_helly, join_of, least_of, meet_of
 
 
 class SizeGuard(ValueError):
@@ -225,6 +225,18 @@ class MonoidTable:
         return self.join([first, second])
 
 
+class _Lazy(dict):
+    """A table whose missing entry k is fill(k), made on first use."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 class FiniteGms:
     """A finite point set with a monoid-valued distance table."""
 
@@ -359,35 +371,31 @@ class FiniteGms:
                 yield f
 
     def fpp_check(self, guard: int = 8) -> tuple[bool, Optional[dict]]:
-        """Whether every non-expansive self map has a fixed point.
+        """Whether every non-expansive self map has a fixed point; if not,
+        the witness is the first fixed-point-free one.
 
-        Searches for a fixed-point-free non-expansive map by backtracking
-        (equivalent to enumerating all maps and testing each, but prunes the
-        f(x) = x branches up front); the witness is such a map when found.
-        """
-        if len(self.points) > guard:
-            raise SizeGuard(f"{len(self.points)} points exceeds the guard {guard}")
-        witness = self._fpp_extend({}, 0)
-        return (witness is None), witness
-
-    def _fpp_extend(self, assign: dict, i: int) -> Optional[dict]:
-        """Extend a fixed-point-free partial map to the points from i on."""
-        m, pts = self.monoid, self.points
-        if i == len(pts):
-            return dict(assign)
-        x = pts[i]
-        for v in pts:
-            if v == x:
-                continue
-            if all(m.leq(self.d(v, assign[y]), self.d(x, y))
-                   and m.leq(self.d(assign[y], v), self.d(y, x))
-                   for y in assign):
-                assign[x] = v
-                found = self._fpp_extend(assign, i + 1)
-                if found:
-                    return found
-                del assign[x]
-        return None
+        `first_map` assigns the points in order, each to the other points in
+        order.  f(x) = v limits f(y) to the w with d(v, w) <= d(x, y) and
+        d(w, v) <= d(y, x), the same limit seen from y.  The limits are built
+        on first use: a witness is often found within a few nodes, long
+        before a full table would be."""
+        pts, leq = self.points, self.monoid.leq
+        n = len(pts)
+        if n > guard:
+            raise SizeGuard(f"{n} points exceeds the guard {guard}")
+        rows = [[self.d(x, y) for y in pts] for x in pts]
+        # near[v, r, s]: the w with d(v, w) <= r and d(w, v) <= s
+        near = _Lazy(lambda k: frozenset(
+            w for w in range(n)
+            if leq(rows[k[0]][w], k[1]) and leq(rows[w][k[0]], k[2])))
+        allowed = [_Lazy(lambda v, x=x: {y: near[v, rows[x][y], rows[y][x]]
+                                         for y in range(n) if y != x})
+                   for x in range(n)]
+        found = first_map([tuple(range(n))] * n, allowed,
+                          forbidden=[{i} for i in range(n)])
+        if found is None:
+            return True, None
+        return False, {pts[i]: pts[v] for i, v in found.items()}
 
     def commuting_fpp_check(self, maps: Sequence[Mapping]) -> bool:
         """Common fixed point of a commuting family of non-expansive maps."""

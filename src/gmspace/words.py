@@ -215,12 +215,6 @@ def minimize_words(codes: Iterable[str]) -> tuple[str, ...]:
     return tuple(kept)
 
 
-def is_antichain(codes: Iterable[str]) -> bool:
-    ws = list(codes)
-    return all(not covers((ws[i],), ws[j]) and not covers((ws[j],), ws[i])
-               for i in range(len(ws)) for j in range(i + 1, len(ws)))
-
-
 def minimal_common_superwords(a: str, b: str) -> tuple[str, ...]:
     """Antichain of the minimal codes containing both codes as subwords.
 

@@ -1,5 +1,6 @@
 import random
 import time
+from typing import Optional
 
 import pytest
 
@@ -33,6 +34,40 @@ def naive_upset_members(gens, max_len: int):
     """Oracle: membership by direct subword scan over all words."""
     return [v for v in all_words(PLUS_MINUS, max_len)
             if any(g <= v for g in gens)]
+
+
+def reference_fpp_check(space) -> tuple[bool, Optional[dict]]:
+    """The fixed-point search before `first_map`: plain backtracking over
+    the points in order, each tried with the other points in order and
+    checked against every assigned pair."""
+    m, pts = space.monoid, space.points
+
+    def extend(assign: dict, i: int) -> Optional[dict]:
+        if i == len(pts):
+            return dict(assign)
+        x = pts[i]
+        for v in pts:
+            if v != x and all(m.leq(space.d(v, assign[y]), space.d(x, y))
+                              and m.leq(space.d(assign[y], v), space.d(y, x))
+                              for y in assign):
+                assign[x] = v
+                found = extend(assign, i + 1)
+                if found:
+                    return found
+                del assign[x]
+        return None
+
+    witness = extend({}, 0)
+    return witness is None, witness
+
+
+def fpp_check(space) -> tuple[bool, Optional[dict]]:
+    """space.fpp_check(), with the verdict, the witness and its key order
+    checked against the reference search."""
+    got, want = space.fpp_check(), reference_fpp_check(space)
+    assert got == want, (space.points, got, want)
+    assert list((got[1] or {}).items()) == list((want[1] or {}).items())
+    return got
 
 
 class Budget:

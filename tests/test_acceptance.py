@@ -14,13 +14,13 @@ from gmspace.partitions import (EquivSystem, Partition, crt_solve,
 from gmspace.segments import FinalSegment, in_macneille
 from gmspace.spaces import (FiniteGms, MonoidTable, SizeGuard,
                             canonical_distance_space)
-from gmspace.words import PLUS_MINUS, Word, all_words, is_antichain, \
-    minimize_words
+from gmspace.words import PLUS_MINUS, Word, all_words, minimize_words
 from gmspace.zigzag import (ReflexiveDigraph, distance_matrix,
                             oriented_embeddable, satisfies_graph_condition)
 
-from conftest import Budget, w, naive_upset_members, random_segment, \
-    upset_automaton
+from conftest import Budget, fpp_check, w, naive_upset_members, \
+    random_segment, upset_automaton
+from word_oracle import is_antichain
 
 A = PLUS_MINUS
 
@@ -157,7 +157,7 @@ def test_criterion_5_hyperconvex_bounded_fixed_points():
         nonvacuous = 0
         for sp in spaces:
             if sp.is_hyperconvex() and sp.is_bounded():
-                ok, witness = sp.fpp_check()
+                ok, witness = fpp_check(sp)
                 assert ok, (sp.points, witness)
                 nonvacuous += 1
         assert nonvacuous >= 1  # singletons qualify; the claim is exercised

@@ -242,6 +242,54 @@ def test_input_errors(tmp_path, capsys):
     assert dispatch(["--seed", "1", "--json", "zigzag", "dist", good]) == 2
 
 
+SYSTEM3 = {"carrier": [0, 1, 2], "relations": [[[0, 1], [2]], [[0], [1, 2]]]}
+
+# (argv, JSON file or None): every one is an input error, exit 2
+MALFORMED = [
+    (("zigzag", "dist"), []),
+    (("zigzag", "dist"), {"vertices": 5, "edges": []}),
+    (("zigzag", "embeddable"), {"vertices": ["a"], "edges": [["a"]]}),
+    (("zigzag", "fence", "--from", "a", "--to", "b"), {"vertices": ["a", "b"]}),
+    (("gms", "check"), {**SPACE2, "dist": [[0, 1]]}),
+    (("gms", "hyperconvex"), {**SPACE2, "monoid": []}),
+    (("gms", "fpp"), {**SPACE2, "dist": [[0, 1], [1, 7]]}),
+    (("eqv", "arithmetical"), {"carrier": [0, 1], "relations": 5}),
+    (("eqv", "crt"), {**SYSTEM3, "constraints": [[0, 0], [1, 2]]}),
+    (("eqv", "crt"), {**SYSTEM3, "constraints": [[0, 0], [1, -1]]}),
+    (("eqv", "crt"), {**SYSTEM3, "constraints": [[0, "0"]]}),
+    (("eqv", "crt"), {**SYSTEM3, "relations": [], "constraints": [[0, 0]]}),
+    (("eqv", "crt"), {**SYSTEM3, "constraints": 3}),
+    (("eqv", "extend"), {**SYSTEM3, "map": [[0]], "z": 2}),
+    (("zcong", "extend", "1"), [[0]]),
+    (("zcong", "affine"), {"dimension": 1, "window": [[0, 1]], "values": []}),
+    (("semirigid", "check"), {"carrier": [0, 1], "relations": [[[0, 1], [1]]]}),
+    (("semirigid", "plane"), [["1/0", 0]]),
+    (("semirigid", "plane"), [[0, "2/0"]]),
+    (("semirigid", "plane"), [[0, 0, 0]]),
+    (("freemon", "factor"), [5]),
+    (("freemon", "factor"), "+-"),
+    (("freemon", "irreducible"), {"+": 1}),
+    (("freemon", "irreducible"), ["+x", None]),
+    (("zcong", "check", "1/0"), None),
+    (("zcong", "check", "x/0"), None),
+    (("zcong", "check", "x^2/0 + 1"), None),
+]
+
+
+@pytest.mark.parametrize("argv, payload", MALFORMED,
+                         ids=[" ".join(a) + f" #{i}"
+                              for i, (a, _) in enumerate(MALFORMED)])
+def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, argv,
+                                                   payload):
+    if payload is not None:
+        path = write(tmp_path, "in.json", payload)
+        argv = argv[:2] + (path,) + argv[2:]
+    code = dispatch(["--json", *argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "", (argv, out, err)
+    assert err.startswith("error: ") and "Traceback" not in err, err
+
+
 def test_reports_byte_identical(tmp_path, capsys):
     path = write(tmp_path, "g.json", CYCLE3)
     outs = set()

@@ -9,9 +9,10 @@ from gmspace.factorization import (EmptySegment, _splits, all_factor_sequences,
                                    decompose_once, factorize, is_irreducible)
 from gmspace.segments import FinalSegment, residual
 from gmspace.spaces import SizeGuard
-from gmspace.words import PLUS_MINUS, all_words, is_antichain, sort_codes
+from gmspace.words import PLUS_MINUS, all_words, sort_codes
 
 from conftest import Budget, seg
+from word_oracle import is_antichain
 
 A = PLUS_MINUS
 ZERO = FinalSegment.zero(A)

@@ -8,10 +8,10 @@ from gmspace import automata
 from gmspace.segments import (FinalSegment, default_accessibility_candidates,
                               in_macneille, is_accessible, is_self_dual,
                               principal_upsets, residual, residual_distance)
-from gmspace.words import PLUS_MINUS, AlphabetMismatch, Word, all_words, \
-    is_antichain
+from gmspace.words import PLUS_MINUS, AlphabetMismatch, Word, all_words
 
 from conftest import w, seg, random_segment, segment_automaton, word_quotient
+from word_oracle import is_antichain
 
 A = PLUS_MINUS
 ZERO = FinalSegment.zero(A)

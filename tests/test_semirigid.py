@@ -157,6 +157,40 @@ def test_center_of_symmetry_examples():
     assert ok and center == (Fraction(0), Fraction(0))
 
 
+def reference_center_of_symmetry(points):
+    """The centre search before the one-candidate test: every pairwise
+    midpoint and the bounding-box midpoint, in sorted order."""
+    pts = sorted(points)
+    if not pts:
+        return False, None
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    candidates = {((min(xs) + max(xs)) / 2, (min(ys) + max(ys)) / 2)}
+    candidates.update(((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
+                      for p in pts for q in pts)
+    sset = set(pts)
+    for c in sorted(candidates):
+        if all((2 * c[0] - p[0], 2 * c[1] - p[1]) in sset for p in pts):
+            return True, c
+    return False, None
+
+
+def test_center_of_symmetry_matches_midpoint_scan():
+    rng = random.Random(53)
+    sets = [(), (point(1, 2),), t_n(2), t_n2_prime(3), band_truncation((-2, 2))]
+    sets += [random_plane_set(rng, 1, 9) for _ in range(200)]
+    sets += [symmetric_plane_set(rng) for _ in range(200)]
+    centred = 0
+    for pts in sets:
+        got = has_center_of_symmetry(pts)
+        assert got == reference_center_of_symmetry(pts), pts
+        if got[0]:
+            assert [str(c) for c in got[1]] == \
+                [str(c) for c in reference_center_of_symmetry(pts)[1]]
+        centred += got[0]
+    assert centred >= 200
+
+
 def test_generator_counts():
     assert len(t_n(2)) == 6
     assert len(t_n(3)) == 10
@@ -167,13 +201,83 @@ def test_generator_counts():
         t_n(0)
 
 
+def reference_system_isomorphism(a: EquivSystem, b: EquivSystem
+                                 ) -> Optional[dict]:
+    """The isomorphism search before `first_map`: for each order of b's
+    relations, plain backtracking over a's carrier, each point tried with
+    the unused points of b with the same block sizes, in carrier order."""
+    if len(a.carrier) != len(b.carrier) or \
+            len(a.relations) != len(b.relations):
+        return None
+
+    def profile(system, x, perm):
+        return tuple(len(system.relations[i].block_of(x)) for i in perm)
+
+    def extend(perm, prof_b, assign):
+        if len(assign) == len(a.carrier):
+            return dict(assign)
+        x = next(z for z in a.carrier if z not in assign)
+        for y in prof_b.get(profile(a, x, range(len(a.relations))), []):
+            if y not in assign.values() and all(
+                    a.relations[i].same(x, z) == b.relations[perm[i]].same(y, w)
+                    for i in range(len(a.relations))
+                    for z, w in assign.items()):
+                assign[x] = y
+                found = extend(perm, prof_b, assign)
+                if found:
+                    return found
+                del assign[x]
+        return None
+
+    sizes_a = sorted(sorted(len(blk) for blk in r.blocks) for r in a.relations)
+    sizes_b = sorted(sorted(len(blk) for blk in r.blocks) for r in b.relations)
+    for perm in itertools.permutations(range(len(b.relations))):
+        if sizes_a != sizes_b:
+            continue
+        prof_b: dict = {}
+        for y in b.carrier:
+            prof_b.setdefault(profile(b, y, perm), []).append(y)
+        iso = extend(perm, prof_b, {})
+        if iso:
+            return iso
+    return None
+
+
+def assert_same_isomorphism(a, b):
+    got, want = system_isomorphism(a, b), reference_system_isomorphism(a, b)
+    assert got == want, (a, b, got, want)
+    assert list((got or {}).items()) == list((want or {}).items())
+    return got
+
+
 def test_isomorphic_to_zadori_layouts():
-    assert system_isomorphism(plane_system(t_n2_prime(4)),
-                              zadori_system(10)) is not None
-    assert system_isomorphism(plane_system(t_n2(4)),
-                              zadori_system(9)) is not None
-    assert system_isomorphism(plane_system(t_n(1)),
-                              zadori_system(3)) is not None
+    assert assert_same_isomorphism(plane_system(t_n2_prime(4)),
+                                   zadori_system(10)) is not None
+    assert assert_same_isomorphism(plane_system(t_n2(4)),
+                                   zadori_system(9)) is not None
+    assert assert_same_isomorphism(plane_system(t_n(1)),
+                                   zadori_system(3)) is not None
+
+
+def test_isomorphism_matches_reference_search():
+    # random systems against relabelled, relation-shuffled copies of
+    # themselves and against unrelated systems of the same shape
+    rng = random.Random(52)
+    found = 0
+    for _ in range(300):
+        a = random_int_system(rng)
+        carrier = a.carrier
+        image = dict(zip(carrier, rng.sample(carrier, len(carrier))))
+        rels = [Partition.from_blocks(carrier, [[image[x] for x in blk]
+                                                for blk in r.blocks])
+                for r in a.relations]
+        rng.shuffle(rels)
+        copy = EquivSystem(carrier, tuple(rels))
+        found += assert_same_isomorphism(a, copy) is not None
+        other = EquivSystem(carrier, tuple(random_partition(rng, carrier)
+                                           for _ in a.relations))
+        assert_same_isomorphism(a, other)
+    assert found == 300
 
 
 def test_main_theorem_desk_scale():
@@ -302,15 +406,17 @@ def symmetric_plane_set(rng):
                                      for x, y in half}))
 
 
+def random_partition(rng, carrier):
+    groups: dict = {}
+    for x in carrier:
+        groups.setdefault(rng.randrange(len(carrier)), []).append(x)
+    return Partition.from_blocks(carrier, groups.values())
+
+
 def random_int_system(rng):
     carrier = tuple(range(rng.randint(2, 8)))
-    relations = []
-    for _ in range(rng.randint(1, 4)):
-        groups: dict = {}
-        for x in carrier:
-            groups.setdefault(rng.randrange(len(carrier)), []).append(x)
-        relations.append(Partition.from_blocks(carrier, groups.values()))
-    return EquivSystem(carrier, tuple(relations))
+    return EquivSystem(carrier, tuple(random_partition(rng, carrier)
+                                      for _ in range(rng.randint(1, 4))))
 
 
 def test_search_matches_previous_search_on_random_systems():
@@ -335,12 +441,12 @@ def test_search_matches_previous_search_on_zadori_systems():
 def test_wrong_pruning_table_is_an_engine_bug(monkeypatch):
     # a table that allows every value makes the search return a map that
     # does not preserve the system; the final check must catch it
-    real = semirigid._allowed_by
+    real = semirigid.first_map
 
-    def allow_everything(system, index):
-        return [[{} for _ in row] for row in real(system, index)]
+    def allow_everything(domains, allowed, **options):
+        return real(domains, [[{} for _ in row] for row in allowed], **options)
 
-    monkeypatch.setattr(semirigid, "_allowed_by", allow_everything)
+    monkeypatch.setattr(semirigid, "first_map", allow_everything)
     with pytest.raises(AssertionError, match="engine bug"):
         is_semirigid(zadori_system(5))
 

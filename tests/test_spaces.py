@@ -7,6 +7,8 @@ from gmspace._orders import is_helly
 from gmspace.spaces import (FiniteGms, MonoidTable, SizeGuard,
                             canonical_distance_space, space_from_json)
 
+from conftest import fpp_check
+
 
 def divisor12_space():
     mon = MonoidTable.divisor_lattice(12)
@@ -130,13 +132,13 @@ def test_normal_structure_and_boundedness():
 
 def test_fpp_examples():
     one = FiniteGms(["p"], MonoidTable.chain(1), {("p", "p"): 0})
-    assert one.fpp_check() == (True, None)
-    ok, witness = two_point_swap_space().fpp_check()
+    assert fpp_check(one) == (True, None)
+    ok, witness = fpp_check(two_point_swap_space())
     assert not ok and witness == {"x": "y", "y": "x"}
     # the divisor-of-12 canonical space is hyperconvex but unbounded, and a
     # fixed-point-free non-expansive map exists (verified by the oracle too)
     space = divisor12_space()
-    ok, witness = space.fpp_check()
+    ok, witness = fpp_check(space)
     assert not ok
     assert all(witness[x] != x for x in space.points)
     assert space.is_nonexpansive_selfmap(witness)
@@ -160,10 +162,35 @@ def test_fpp_backtracking_matches_oracle():
         sp = FiniteGms(pts, mon, dist)
         if sp.check_axioms():
             continue
-        ok, _ = sp.fpp_check()
+        ok, _ = fpp_check(sp)
         oracle = not any(all(f[x] != x for x in pts)
                          for f in sp.nonexpansive_selfmaps())
         assert ok == oracle
+
+
+def test_fpp_matches_reference_search():
+    # every stock table as a space, and random spaces over the truncation
+    # table with 1-6 points, both verdicts well represented; fpp_check does
+    # not ask for the axioms, so half the tables skip them
+    spaces = [canonical_distance_space(mon) for mon in (
+        MonoidTable.chain(1), MonoidTable.chain(4), MonoidTable.boolean("ab"),
+        MonoidTable.boolean("abc"), MonoidTable.divisor_lattice(12),
+        MonoidTable.divisor_lattice(30), MonoidTable.zigzag_truncation())]
+    rng = random.Random(25)
+    mon = MonoidTable.zigzag_truncation()
+    elems = [e for e in mon.elements if e != "0"]
+    while len(spaces) < 300:
+        pts = [f"p{i}" for i in range(rng.randint(1, 6))]
+        dist = {(p, p): "0" for p in pts}
+        for i, j in itertools.combinations(range(len(pts)), 2):
+            v = rng.choice(elems)
+            back = mon.inv(v) if len(spaces) % 2 else rng.choice(elems)
+            dist[(pts[i], pts[j])], dist[(pts[j], pts[i])] = v, back
+        sp = FiniteGms(pts, mon, dist)
+        if len(spaces) % 2 == 0 or not sp.check_axioms():
+            spaces.append(sp)
+    verdicts = [fpp_check(sp)[0] for sp in spaces]
+    assert 20 < sum(verdicts) < len(verdicts) - 20
 
 
 def test_size_guard():
@@ -180,12 +207,12 @@ def test_commuting_family():
     ident = {x: x for x in space.points}
     to_top = {x: 12 for x in space.points}
     assert space.commuting_fpp_check([ident, to_top])
-    ok, witness = space.fpp_check()
+    ok, witness = fpp_check(space)
     with pytest.raises(ValueError):
         space.commuting_fpp_check([{x: 1 for x in space.points},
                                    {x: 12 for x in space.points}])
     swap_sp = two_point_swap_space()
-    _, swap = swap_sp.fpp_check()
+    _, swap = fpp_check(swap_sp)
     assert not swap_sp.commuting_fpp_check([swap])
 
 
@@ -207,7 +234,7 @@ def test_retracts_preserve_fpp():
                 dist[(pts[i], pts[j])] = v
                 dist[(pts[j], pts[i])] = mon.inv(v)
         sp = FiniteGms(pts, mon, dist)
-        if sp.check_axioms() or not sp.fpp_check()[0]:
+        if sp.check_axioms() or not fpp_check(sp)[0]:
             continue
         sub = rng.sample(pts, rng.randint(1, n - 1))
         retraction = None
@@ -220,7 +247,7 @@ def test_retracts_preserve_fpp():
             continue
         retract = FiniteGms(sub, mon, {(a, b): sp.d(a, b)
                                        for a in sub for b in sub})
-        assert retract.fpp_check()[0]
+        assert fpp_check(retract)[0]
         checked += 1
     assert checked == 20
 

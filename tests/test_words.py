@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gmspace.words import (Alphabet, AlphabetMismatch, PLUS_MINUS, Word,
-                           all_words, greedy_prefix_match, is_antichain,
+                           all_words, greedy_prefix_match,
                            minimal_common_superwords, minimize_words,
                            subword_leq)
 
 from conftest import w
+from word_oracle import is_antichain
 
 words8 = st.text(alphabet="+-", max_size=8).map(w)
 

@@ -4,13 +4,14 @@ Words are tuples of letter names compared by the left-greedy scan, and every
 final-segment operation re-minimizes through ``minimize_words``, which sorts
 by (length, alphabet positions) and tests each word against every kept one.
 The tests compare the string kernel in ``gmspace`` against these routines.
+``is_antichain`` works on code strings; no production path needs it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
-from gmspace.words import Alphabet
+from gmspace.words import Alphabet, covers
 
 
 @dataclass(frozen=True)
@@ -153,3 +154,10 @@ def residual_distance(p: OldSegment, q: OldSegment) -> OldSegment:
     left = residual(p.involute(), q.involute(), "right")
     right = residual(q, p, "left")
     return left.join(right)
+
+
+def is_antichain(codes: Iterable[str]) -> bool:
+    """No code of the collection is a subword of another."""
+    ws = list(codes)
+    return all(not covers((ws[i],), ws[j]) and not covers((ws[j],), ws[i])
+               for i in range(len(ws)) for j in range(i + 1, len(ws)))
