@@ -1,7 +1,9 @@
 """Unified command-line front end.
 
 Exit codes: 0 when the computation succeeds or the checked property holds,
-1 when a checked property fails (a witness is printed), 2 on input errors.
+1 when a checked property fails (a witness is printed), 2 on input errors,
+3 when an input is well formed but a search would pass its size guard
+(``SizeGuard``).
 Reports are deterministic for identical inputs; timing goes to stderr only.
 
 Each subcommand has one handler in COMMANDS.  It gets the parsed arguments,
@@ -30,7 +32,7 @@ from .partitions import (EquivSystem, crt_solve, is_arithmetical,
                          kaarli_extend, orthogonal_family_search,
                          sublattice_closure)
 from .segments import FinalSegment
-from .spaces import space_from_json
+from .spaces import SizeGuard, space_from_json
 from .words import PLUS_MINUS
 from .zcong import Affine, GridMap, IntPoly
 
@@ -392,6 +394,9 @@ def dispatch(argv: list[str]) -> int:
         else:
             for key in sorted(result):
                 print(f"{key}: {json.dumps(result[key], default=str, sort_keys=True)}")
+    except SizeGuard as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, KeyError, TypeError) as exc:  # InputError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

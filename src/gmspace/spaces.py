@@ -372,7 +372,8 @@ class FiniteGms:
 
     def fpp_check(self, guard: int = 8) -> tuple[bool, Optional[dict]]:
         """Whether every non-expansive self map has a fixed point; if not,
-        the witness is the first fixed-point-free one.
+        the witness is the first fixed-point-free one.  The table must
+        satisfy the distance axioms, as for hyperconvexity.
 
         `first_map` assigns the points in order, each to the other points in
         order.  f(x) = v limits f(y) to the w with d(v, w) <= d(x, y) and
@@ -383,6 +384,7 @@ class FiniteGms:
         n = len(pts)
         if n > guard:
             raise SizeGuard(f"{n} points exceeds the guard {guard}")
+        self._require_axioms()
         rows = [[self.d(x, y) for y in pts] for x in pts]
         # near[v, r, s]: the w with d(v, w) <= r and d(w, v) <= s
         near = _Lazy(lambda k: frozenset(

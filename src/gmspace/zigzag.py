@@ -1,14 +1,14 @@
 """Reflexive digraphs as generalized metric spaces under the zigzag distance.
 
 The distance from x to y is the upward-closed set of +/- words coding the
-zigzags that map homomorphically into the graph from x to y.  The row d(x, .)
-is the least solution of the triangle inequality over the one-step
-distances, computed by relaxation in the quantale of final segments; a
-single pair and the full matrix both read off such rows.  A row is relaxed
-on generator codes (see ``words``) in order of word length: each layer
-extends by one letter only the words the previous layer added, and a word
-once inserted is never removed, because a minimal word of d(x, j) minus its
-last letter is minimal at the predecessor it came through.
+zigzags that map homomorphically into the graph from x to y; a + letter
+follows an edge, a - letter follows one backwards.  A row d(x, .) is read
+off reach sets, kept as vertex bitmasks: R(w) is the set of vertices that
+w reaches from x, and U(w) the union of R over the one-letter deletions of
+w.  Since R grows along the subword order, w is a minimal word of d(x, j)
+exactly when j lies in R(w) but not in U(w).  ``_distances_from`` extends
+both sets letter by letter, takes words by length and in lex order, and so
+fills each row in canonical order, without a subword test or a sort.
 """
 from __future__ import annotations
 
@@ -61,53 +61,81 @@ class ReflexiveDigraph:
             raise ValueError(f"unknown vertex {v!r}") from None
 
 
-def _steps(g: ReflexiveDigraph) -> list[list[tuple[str, int]]]:
-    """Per vertex index, the (letter code, index) of each non-loop edge at
-    it: + to the head of an edge out of it, - to the tail of one into it."""
+class _Step(dict):
+    """S_c for one letter c: S_c(A) is the vertex set A, as a bitmask, plus
+    every vertex one c-step from A (+ along an edge, - against one).  The
+    masks of single vertices are ``near``.  S_c(A) is ``step[A]``, memoised
+    per mask, so the rows of one graph share the work."""
+
+    def __init__(self, code: str, near: list[int]):
+        super().__init__({0: 0})
+        self.code, self.near = code, near
+
+    def __missing__(self, mask: int) -> int:
+        out, rest, near = 0, mask, self.near
+        while rest:
+            low = rest & -rest
+            out |= near[low.bit_length() - 1]
+            rest ^= low
+        self[mask] = out
+        return out
+
+
+def _steps(g: ReflexiveDigraph) -> tuple[_Step, _Step]:
+    """The steps of the letters + and -, in this order, which is the order
+    of their codes (see ``_Step``)."""
     pos = {v: i for i, v in enumerate(g.vertices)}
-    steps: list[list[tuple[str, int]]] = [[] for _ in g.vertices]
-    plus, minus = PLUS_MINUS.encode("+"), PLUS_MINUS.encode("-")
-    for a, b in sorted(g.edges):  # a fixed order: the same work on every run
-        if a != b:
-            steps[pos[a]].append((plus, pos[b]))
-            steps[pos[b]].append((minus, pos[a]))
-    return steps
+    plus = [1 << i for i in range(len(pos))]
+    minus = plus[:]
+    for a, b in g.edges:  # a union of bits does not depend on the edge order
+        plus[pos[a]] |= 1 << pos[b]
+        minus[pos[b]] |= 1 << pos[a]
+    return _Step(PLUS_MINUS.encode("+"), plus), _Step(PLUS_MINUS.encode("-"), minus)
 
 
-def _distances_from(steps: list[list[tuple[str, int]]], ix: int
-                    ) -> list[FinalSegment]:
-    """The row d(x, .) for x at index ix: the smallest upsets with the empty
-    word in r(x) and r(k) (+) {c} inside r(j) for every step (c, j) at k
-    (see ``_steps``).
+def _distances_from(steps: tuple[_Step, _Step], ix: int) -> list[FinalSegment]:
+    """The row d(x, .) for x at index ix (see ``_steps``).
 
-    The minimal words are found in order of length.  Layer 0 is the empty
-    word at x; layer n extends each word that layer n - 1 added at k by the
-    letter of every edge at k, and appends the candidate to r(j) unless
-    r(j) already covers it.  Every appended word is final: if w is minimal
-    in d(x, j) and its last letter steps from k, then w minus that letter is
-    minimal in d(x, k) (a smaller word there would give a smaller one at j),
-    so it was added in the previous layer; and when the candidate is not
-    minimal, a shorter generator, inserted in an earlier layer, covers it,
-    while words of the same length embed only when equal.  A layer that adds
-    nothing ends the relaxation; the antichains are finite (Higman), so one
-    does.  Each row is sorted once at the end.
+    A word w is a pair of masks: R(w), the vertices that w reaches from x,
+    and U(w), the union of R over the one-letter deletions of w, with
+    R("") = {x} and U("") empty.  Appending a letter c gives
+    R(wc) = S_c(R(w)) and U(wc) = R(w) | S_c(U(w)): deleting the c leaves w,
+    deleting a letter of w leaves vc for a one-letter deletion v of w, and
+    S_c distributes over unions.  A loop absorbs an inserted letter, so R
+    grows along the subword order; hence a proper subword of w reaches j
+    iff a one-letter deletion does, and w is a minimal word of d(x, j)
+    exactly when j lies in N(w) = R(w) - U(w).
+
+    Only words with N(w) non-empty are extended, and that loses nothing: if
+    wc is minimal at j, then j is not in R(w), which lies in U(wc), so j is
+    one c-step from some k in R(w); and k is not in U(w), since
+    S_c(U(w)) lies in U(wc) too.  So k is in N(w), and by induction every
+    prefix of a minimal word is extended.  Each extended word is minimal in
+    some entry of the row, and the minimal antichains are finite (Higman),
+    so the search ends.
+
+    Words are taken by length, each layer in lex order with + before -, so
+    every row is filled in length-then-lex order and is canonical as it
+    stands: no subword test and no sort.
     """
-    r: list[list[str]] = [[] for _ in steps]
-    r[ix].append("")
-    layer = {ix: [""]}
+    rows: list[list[str]] = [[] for _ in steps[0].near]
+    rows[ix].append("")
+    layer = [("", 1 << ix, 0)]
     while layer:
-        added: dict[int, list[str]] = {}
-        for k, words in layer.items():
-            for step, j in steps[k]:
-                row = r[j]
-                for u in words:
-                    w = u + step
-                    if not covers(row, w):  # row is sorted by length
-                        row.append(w)
-                        added.setdefault(j, []).append(w)
-        layer = added
-    return [FinalSegment._canonical(PLUS_MINUS, tuple(sort_codes(row)))
-            for row in r]
+        longer = []
+        for w, reach, under in layer:
+            for step in steps:
+                r, u = step[reach], reach | step[under]
+                fresh = r & ~u
+                if fresh:
+                    v = w + step.code
+                    longer.append((v, r, u))
+                    while fresh:
+                        low = fresh & -fresh
+                        rows[low.bit_length() - 1].append(v)
+                        fresh ^= low
+        layer = longer
+    return [FinalSegment._canonical(PLUS_MINUS, tuple(row)) for row in rows]
 
 
 def zigzag_distance(g: ReflexiveDigraph, x: str, y: str) -> FinalSegment:
@@ -137,7 +165,7 @@ class DistanceMatrix:
 
 
 def distance_matrix(g: ReflexiveDigraph) -> DistanceMatrix:
-    """All zigzag distances, one relaxed row per vertex."""
+    """All zigzag distances, one row per vertex from shared step maps."""
     steps = _steps(g)
     rows = tuple(tuple(_distances_from(steps, ix))
                  for ix in range(len(g.vertices)))

@@ -290,6 +290,29 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, argv,
     assert err.startswith("error: ") and "Traceback" not in err, err
 
 
+NINE = [f"p{i}" for i in range(9)]
+# (argv, JSON file or None): well formed, but past a search's size guard
+GUARDED = [
+    (("eqv", "orthogonal", "9"), None),
+    (("gms", "fpp"), {**SPACE2, "points": NINE,
+                      "dist": [[int(a != b) for b in NINE] for a in NINE]}),
+    (("semirigid", "check"), {"carrier": list(range(13)),
+                              "relations": [[[i] for i in range(13)]]}),
+]
+
+
+@pytest.mark.parametrize("argv, payload", GUARDED,
+                         ids=[" ".join(a) for a, _ in GUARDED])
+def test_size_guard_exits_3_without_traceback(tmp_path, capsys, argv,
+                                              payload):
+    if payload is not None:
+        argv = argv + (write(tmp_path, "in.json", payload),)
+    code = dispatch(["--json", *argv])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "", (argv, out, err)
+    assert err.startswith("error: ") and "guard" in err, err
+
+
 def test_reports_byte_identical(tmp_path, capsys):
     path = write(tmp_path, "g.json", CYCLE3)
     outs = set()

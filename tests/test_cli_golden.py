@@ -94,6 +94,7 @@ ARGVS = [
     ["gms", "hyperconvex", "@unseparated"],
     ["gms", "fpp", "@point"],
     ["gms", "fpp", "@space2"],
+    ["gms", "fpp", "@unseparated"],
     ["eqv", "arithmetical", "@z6"],
     ["eqv", "arithmetical", "@m3"],
     ["eqv", "crt", "@crt"],
@@ -104,6 +105,7 @@ ARGVS = [
     ["eqv", "orthogonal", "4"],
     ["eqv", "orthogonal", "4", "--block-size", "2"],
     ["eqv", "orthogonal", "0"],
+    ["eqv", "orthogonal", "9"],
     ["zcong", "check", "x^2/2 - x/2"],
     ["zcong", "check", "x^2 - x"],
     ["zcong", "check", "y + 1"],
@@ -161,7 +163,7 @@ def reports(directory: Path) -> dict:
 
 def test_reports_match_golden_fixture(tmp_path):
     golden = json.loads(FIXTURE.read_text())
-    assert {code for code, _ in golden.values()} == {0, 1, 2}
+    assert {code for code, _ in golden.values()} == {0, 1, 2, 3}
     got = reports(tmp_path)
     assert set(got) == set(golden)
     assert {k: v for k, v in got.items() if v != golden[k]} == {}

@@ -131,7 +131,7 @@ def test_wide_input_raises_size_guard(tmp_path, capsys):
             factorize(f)
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(GUARDED))
-    assert dispatch(["freemon", "factor", str(path)]) == 2
+    assert dispatch(["freemon", "factor", str(path)]) == 3
     assert "candidate antichains" in capsys.readouterr().err
 
 

@@ -170,8 +170,8 @@ def test_fpp_backtracking_matches_oracle():
 
 def test_fpp_matches_reference_search():
     # every stock table as a space, and random spaces over the truncation
-    # table with 1-6 points, both verdicts well represented; fpp_check does
-    # not ask for the axioms, so half the tables skip them
+    # table with 1-6 points, both verdicts well represented; tables that
+    # break the axioms get no verdict
     spaces = [canonical_distance_space(mon) for mon in (
         MonoidTable.chain(1), MonoidTable.chain(4), MonoidTable.boolean("ab"),
         MonoidTable.boolean("abc"), MonoidTable.divisor_lattice(12),
@@ -179,6 +179,7 @@ def test_fpp_matches_reference_search():
     rng = random.Random(25)
     mon = MonoidTable.zigzag_truncation()
     elems = [e for e in mon.elements if e != "0"]
+    broken = 0
     while len(spaces) < 300:
         pts = [f"p{i}" for i in range(rng.randint(1, 6))]
         dist = {(p, p): "0" for p in pts}
@@ -187,8 +188,13 @@ def test_fpp_matches_reference_search():
             back = mon.inv(v) if len(spaces) % 2 else rng.choice(elems)
             dist[(pts[i], pts[j])], dist[(pts[j], pts[i])] = v, back
         sp = FiniteGms(pts, mon, dist)
-        if len(spaces) % 2 == 0 or not sp.check_axioms():
+        if not sp.check_axioms():
             spaces.append(sp)
+        else:
+            broken += 1
+            with pytest.raises(ValueError, match="violates the distance axioms"):
+                sp.fpp_check()
+    assert broken > 100
     verdicts = [fpp_check(sp)[0] for sp in spaces]
     assert 20 < sum(verdicts) < len(verdicts) - 20
 

@@ -5,12 +5,13 @@ from itertools import combinations, product
 
 import pytest
 
+import gmspace
 from gmspace import automata
 from gmspace.segments import FinalSegment, in_macneille
 from gmspace.words import PLUS_MINUS, Word, all_words
-from gmspace.zigzag import (DistanceMatrix, ReflexiveDigraph, distance_matrix,
-                            fence_distance, graph_from_matrix, is_graph_hom,
-                            is_nonexpansive, oriented_embeddable,
+from gmspace.zigzag import (DistanceMatrix, ReflexiveDigraph, _steps,
+                            distance_matrix, fence_distance, graph_from_matrix,
+                            is_graph_hom, is_nonexpansive, oriented_embeddable,
                             satisfies_graph_condition, zigzag_distance)
 
 from conftest import accepts, random_segment, seg
@@ -414,6 +415,76 @@ def test_rows_and_embeddability_match_all_pair_oracles():
         assert got == embeddable_over_all_pairs(g, want)
         verdicts.add(got[0])
     assert verdicts == {True, False}
+
+
+def reach_by_walks(g, x, code):
+    """Oracle: the vertices that the word code reaches from x, one letter
+    at a time over the edge set (loops included)."""
+    here = {x}
+    for letter in A.decode(code):
+        here = ({b for a, b in g.edges if a in here} if letter == "+"
+                else {a for a, b in g.edges if b in here})
+    return here
+
+
+def mask_of(g, vertices):
+    return sum(1 << g._index(v) for v in vertices)
+
+
+def test_reach_set_recurrence_matches_deletions():
+    # R(wc) = S_c(R(w)) and U(wc) = R(w) | S_c(U(w)), against R and the
+    # union of R over the one-letter deletions, walked directly
+    rng = random.Random(41)
+    for _ in range(300):
+        g = random_digraph(rng, max_n=7)
+        steps = {step.code: step for step in _steps(g)}
+        x = rng.choice(g.vertices)
+        code = "".join(rng.choice("+-") for _ in range(rng.randint(0, 8)))
+        reach, under = 1 << g._index(x), 0
+        for c in code:
+            step = steps[c]
+            reach, under = step[reach], reach | step[under]
+        deletions = set().union(*[reach_by_walks(g, x, code[:i] + code[i + 1:])
+                                  for i in range(len(code))])
+        assert reach == mask_of(g, reach_by_walks(g, x, code))
+        assert under == mask_of(g, deletions), (g, x, code)
+
+
+def test_rows_are_canonical_and_minimal_up_to_16_vertices():
+    # every entry survives the validating constructor, and every generator
+    # reaches its vertex while none of its one-letter deletions does
+    rng = random.Random(42)
+    for trial in range(60):
+        n = rng.randint(10, 16)
+        vs = [f"v{i}" for i in range(n)]
+        p = (0.15, 0.2, 0.3)[trial % 3]
+        g = ReflexiveDigraph.of(vs, [(a, b) for a in vs for b in vs
+                                     if a != b and rng.random() < p])
+        m = distance_matrix(g)
+        for x, row in zip(vs, m.entries):
+            for y, entry in zip(vs, row):
+                assert FinalSegment(A, entry.generators) == entry
+                for w in entry.generators:
+                    assert y in reach_by_walks(g, x, w)
+                    assert all(y not in reach_by_walks(g, x, w[:i] + w[i + 1:])
+                               for i in range(len(w)))
+
+
+def test_distance_matrix_runs_no_subword_test(monkeypatch):
+    calls = []
+    for module in (gmspace.words, gmspace.segments, gmspace.zigzag):
+        def counted(gens, w, _covers=module.covers):
+            calls.append(w)
+            return _covers(gens, w)
+        monkeypatch.setattr(module, "covers", counted)
+    rng = random.Random(43)
+    for _ in range(30):
+        g = random_digraph(rng, max_n=9)
+        distance_matrix(g)
+        zigzag_distance(g, g.vertices[0], g.vertices[-1])
+    assert calls == []
+    distance_matrix(cycle3()).entry("a", "b").contains(Word.parse("+"))
+    assert calls == ["+"]  # the counter itself is live
 
 
 def test_graph_json_round_trip():
