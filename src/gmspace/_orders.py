@@ -95,63 +95,70 @@ def is_helly(sets: Collection[frozenset], points: Sequence) -> bool:
     return True
 
 
-def first_map(domains: Sequence[tuple], allowed: Sequence[Sequence[dict]], *,
+def first_map(domains: Sequence[int], allowed: Sequence[Sequence[dict]], *,
               fewest_first: bool = False, reorder: Optional[Callable] = None,
               seed: Optional[tuple] = None, forbidden: Optional[Sequence] = None,
               leaf: Optional[Callable] = None) -> Optional[dict]:
     """The first map f of the variables 0..n-1, in depth-first order, with
     f(x) in domains[x] and not in forbidden[x], f(y) in allowed[x][f(x)][y]
     wherever that entry exists, and leaf(f) true; its keys follow the order
-    of assignment.  Each pair is checked from the side assigned first, so a
-    table allowing w for y after x = v must allow v for x after y = w.
+    of assignment.  All of these sets are bitmasks of value indices.  Each
+    pair is checked from the side assigned first, so a table allowing w for
+    y after x = v must allow v for x after y = w.
 
     Variables go in index order, or with `fewest_first` the one with the
-    fewest values left, lowest index first.  Assigning x = v keeps in each
-    free domain, in order, the values in allowed[x][v].get(y) (all if None);
-    `reorder` then orders what is kept, and a domain left with forbidden
-    values only cuts the branch.  A `seed` (x0, v0) is assigned first; its
-    limits allowed[x0][v0] apply only as the root branches and narrows, so
-    that the root's variable order does not see them."""
-    forbidden = forbidden or [frozenset()] * len(domains)
+    fewest values left, lowest index first.  Values go in ascending order,
+    or in the order reorder(t) gives, t being a domain's ascending tuple at
+    the start and its kept values in their previous order after a narrowing.
+    A domain left with forbidden values only cuts the branch.  A `seed`
+    (x0, v0) is assigned first; its limits allowed[x0][v0] apply only as the
+    root branches and narrows, so that the root's variable order does not
+    see them."""
+    orders = reorder and [reorder(members(d)) for d in domains]
     assign, pending = {}, {}
     if seed:
         x0, v0 = seed
         assign, pending = {x0: v0}, allowed[x0][v0]
-    return _extend(allowed, forbidden, reorder, leaf, fewest_first, assign,
-                   dict(enumerate(domains)), pending)
+    return _extend(allowed, forbidden or [0] * len(domains), reorder, leaf,
+                   fewest_first, assign, domains, orders, pending,
+                   [y for y in range(len(domains)) if y not in assign])
+
+
+def members(mask: int) -> tuple:
+    """The indices of the set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _extend(allowed, forbidden, reorder, leaf, fewest_first, assign, domains,
-            pending) -> Optional[dict]:
-    """One level of `first_map`; no closure holds its tables."""
-    n = len(domains)
-    if len(assign) == n:
+            orders, pending, free) -> Optional[dict]:
+    """One level of `first_map` over the variables `free` not yet assigned;
+    no closure holds its tables."""
+    if not free:
         return dict(assign) if leaf is None or leaf(assign) else None
-    x = min((len(domains[y]) if fewest_first else 0, y)
-            for y in range(n) if y not in assign)[1]
-    only = pending.get(x)
-    for v in domains[x]:
-        if v in forbidden[x] or (only is not None and v not in only):
-            continue
-        assign[x] = v
+    free = list(free)
+    sizes = [domains[y].bit_count() if fewest_first else 0 for y in free]
+    x = free.pop(sizes.index(min(sizes)))
+    avail = domains[x] & ~forbidden[x] & pending.get(x, -1)
+    for v in (members(avail) if orders is None else
+              [v for v in orders[x] if avail >> v & 1]):
         limits = allowed[x][v]
-        saved = {}
-        for y in range(n):
-            if y in assign:
-                continue
-            ok = limits.get(y)
-            if y in pending:
-                ok = pending[y] if ok is None else ok & pending[y]
-            saved[y] = old = domains[y]
-            keep = old if ok is None else tuple(w for w in old if w in ok)
-            domains[y] = keep = keep if reorder is None else reorder(keep)
-            if forbidden[y].issuperset(keep):
+        kept, order = list(domains), orders and list(orders)
+        for y in free:
+            kept[y] = keep = kept[y] & limits.get(y, -1) & pending.get(y, -1)
+            if orders is not None:
+                order[y] = reorder(tuple(w for w in order[y] if keep >> w & 1))
+            if not keep & ~forbidden[y]:
                 break
         else:
+            assign[x] = v
             found = _extend(allowed, forbidden, reorder, leaf, fewest_first,
-                            assign, domains, {})
+                            assign, kept, order, {}, free)
             if found:
                 return found
-        domains.update(saved)
-        del assign[x]
+            del assign[x]
     return None

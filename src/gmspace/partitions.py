@@ -157,34 +157,50 @@ def preserves_partition(f: Mapping, rho: Partition) -> bool:
 
 def sublattice_closure(parts: Iterable[Partition], guard: int = 512
                        ) -> frozenset[Partition]:
-    """Least meet/join-closed superset of the given partitions."""
+    """Least meet/join-closed superset of the given partitions; SizeGuard
+    before the next meet and join once it holds more than `guard`."""
     closed = set(parts)
     frontier = set(closed)
     while frontier:
         new = set()
         for a in frontier:
             for b in closed:
-                for c in (a.meet(b), a.join(b)):
-                    if c not in closed:
-                        new.add(c)
+                if len(closed) + len(new) > guard:
+                    raise SizeGuard(f"closure exceeded {guard} partitions")
+                new.update(c for c in (a.meet(b), a.join(b)) if c not in closed)
         closed |= new
-        if len(closed) > guard:
-            raise SizeGuard(f"closure exceeded {guard} partitions")
         frontier = new
     return frozenset(closed)
 
 
+def _lattice_tables(parts: Iterable[Partition]) -> Optional[tuple]:
+    """Meet and join tables over the distinct partitions, by position in
+    order of first appearance; None when a meet or join falls outside."""
+    ps = list(dict.fromkeys(parts))
+    pos = {p: i for i, p in enumerate(ps)}
+    meet, join = ([[None] * len(ps) for _ in ps] for _ in range(2))
+    for i, a in enumerate(ps):
+        for j in range(i, len(ps)):
+            meet[i][j] = meet[j][i] = pos.get(a.meet(ps[j]))
+            join[i][j] = join[j][i] = pos.get(a.join(ps[j]))
+            if meet[i][j] is None or join[i][j] is None:
+                return None
+    return meet, join
+
+
 def is_sublattice(parts: Iterable[Partition]) -> bool:
-    ps = set(parts)
-    return all(a.meet(b) in ps and a.join(b) in ps for a in ps for b in ps)
+    return _lattice_tables(parts) is not None
 
 
 def is_distributive(parts: Iterable[Partition]) -> bool:
-    ps = list(parts)
-    if not is_sublattice(ps):
+    """a ^ (b v c) = (a ^ b) v (a ^ c) for all members, by table lookups."""
+    tables = _lattice_tables(parts)
+    if tables is None:
         raise ValueError("not a meet/join-closed set of partitions")
-    return all(a.meet(b.join(c)) == a.meet(b).join(a.meet(c))
-               for a in ps for b in ps for c in ps)
+    meet, join = tables
+    k = range(len(meet))
+    return all(meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
+               for a in k for b in k for c in k)
 
 
 def is_arithmetical(parts: Iterable[Partition]) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from ._orders import first_map
+from ._orders import first_map, members
 from .partitions import EquivSystem, Partition
 from .spaces import SizeGuard
 
@@ -137,19 +137,19 @@ def is_semirigid(system: EquivSystem, guard: int = 12
     One `first_map` search per seed f(x0) = v0 with v0 != x0, in carrier
     order, since every non-identity map moves some point; constants are
     filtered at the leaves.  f(x) = v limits f(y), for y sharing a block
-    with x, to the meet of v's blocks over the relations relating x and y.
-    An exhausted seed proves that no witness has f(x0) = v0, so later seeds
-    forbid v0 for x0.  That cuts only subtrees without a witness and leaves
-    every domain as it would be without it, so the witness stays the same.
+    with x, to the meet (a bitmask of indices) of v's blocks over the
+    relations relating x and y.  An exhausted seed proves that no witness
+    has f(x0) = v0, so later seeds forbid v0 for x0: that cuts only subtrees
+    without a witness, so the witness stays the same.
 
     The witness is the first one found, so it depends on the seed order, the
     variable order (fewest values first) and the order of the domains, which
-    are sets of carrier points and follow the points' hashes; relabelling
-    the carrier or merging the seeds would change it.  A domain is held as
-    the carrier indices of such a set, in its iteration order, built once
-    per distinct sequence of surviving points.  Only numbers and tuples of
-    numbers hash alike in every process: any other carrier (str hashes are
-    salted) builds these sets on its indices."""
+    are sets of carrier points and follow the points' hashes.  Each seed is
+    decided in index order, since reordering a domain changes no verdict;
+    the first seed with a witness runs again with each domain in the
+    iteration order of such a set, built once per sequence of surviving
+    points.  Only numbers and tuples of numbers hash alike in every process:
+    any other carrier (str hashes are salted) builds these sets on indices."""
     carrier = system.carrier
     n = len(carrier)
     if n > guard:
@@ -157,15 +157,16 @@ def is_semirigid(system: EquivSystem, guard: int = 12
     if n <= 1:
         return True, None
     index = {x: i for i, x in enumerate(carrier)}
-    blocks = [[frozenset(index[y] for y in rho.block_of(x))
+    blocks = [[sum(1 << index[y] for y in rho.block_of(x))
                for rho in system.relations] for x in carrier]
+    others = [[members(b & ~(1 << x)) for b in row]
+              for x, row in enumerate(blocks)]
     allowed = [[{} for _ in carrier] for _ in carrier]
     for x, v in itertools.product(range(n), repeat=2):
         limits = allowed[x][v]
-        for block, image in zip(blocks[x], blocks[v]):
-            for y in block:
-                if y != x:
-                    limits[y] = limits[y] & image if y in limits else image
+        for ys, image in zip(others[x], blocks[v]):
+            for y in ys:
+                limits[y] = limits.get(y, -1) & image
     stable = all(isinstance(c, (int, float, Fraction)) for x in carrier
                  for c in (x if isinstance(x, tuple) else (x,)))
     labels, slot = (carrier, index) if stable else (range(n), range(n))
@@ -179,20 +180,21 @@ def is_semirigid(system: EquivSystem, guard: int = 12
                                          {labels[i] for i in kept})
         return order
 
-    exhausted = [set() for _ in carrier]
-    everything = [rebuilt(tuple(range(n)))] * n
+    exhausted = [0] * n
+    everything = [(1 << n) - 1] * n
+    options = {"fewest_first": True, "forbidden": exhausted,
+               "leaf": lambda f: _is_witness(range(n), f)}
     for x0, v0 in itertools.permutations(range(n), 2):
-        found = first_map(everything, allowed, fewest_first=True,
-                          reorder=rebuilt, seed=(x0, v0), forbidden=exhausted,
-                          leaf=lambda f: _is_witness(range(n), f))
-        if found:
+        if first_map(everything, allowed, seed=(x0, v0), **options):
+            found = first_map(everything, allowed, seed=(x0, v0),
+                              reorder=rebuilt, **options)
             witness = {carrier[i]: carrier[v] for i, v in found.items()}
             if not (system.preserves(witness)
                     and _is_witness(carrier, witness)):
                 raise AssertionError("is_semirigid found a map that is not "
                                      "a witness: engine bug")
             return False, witness
-        exhausted[x0].add(v0)
+        exhausted[x0] |= 1 << v0
     return True, None
 
 
@@ -326,12 +328,12 @@ def system_isomorphism(a: EquivSystem, b: EquivSystem) -> Optional[dict]:
             ([tuple(len(r.block_of(x)) for r in rels) for x in pts],
              [[tuple(r.same(x, z) for r in rels) for z in pts] for x in pts])
             for pts, rels in ((a.carrier, a.relations), (b.carrier, perm))]
-        images = [{} for _ in range(n)]  # y -> signature -> the w != y
+        images = [{} for _ in range(n)]  # y -> signature -> mask of w != y
         for y, w in itertools.permutations(range(n), 2):
-            images[y].setdefault(sig_b[y][w], set()).add(w)
-        allowed = [[{z: images[y].get(sig_a[x][z], ()) for z in range(n)
+            images[y][sig_b[y][w]] = images[y].get(sig_b[y][w], 0) | 1 << w
+        allowed = [[{z: images[y].get(sig_a[x][z], 0) for z in range(n)
                      if z != x} for y in range(n)] for x in range(n)]
-        domains = [tuple(y for y in range(n) if size_b[y] == size_a[x])
+        domains = [sum(1 << y for y in range(n) if size_b[y] == size_a[x])
                    for x in range(n)]
         found = first_map(domains, allowed)
         if found:

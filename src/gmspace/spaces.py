@@ -377,9 +377,9 @@ class FiniteGms:
 
         `first_map` assigns the points in order, each to the other points in
         order.  f(x) = v limits f(y) to the w with d(v, w) <= d(x, y) and
-        d(w, v) <= d(y, x), the same limit seen from y.  The limits are built
-        on first use: a witness is often found within a few nodes, long
-        before a full table would be."""
+        d(w, v) <= d(y, x), the same limit seen from y, as a bitmask of
+        point indices.  The limits are built on first use: a witness is often
+        found within a few nodes, long before a full table would be."""
         pts, leq = self.points, self.monoid.leq
         n = len(pts)
         if n > guard:
@@ -387,14 +387,14 @@ class FiniteGms:
         self._require_axioms()
         rows = [[self.d(x, y) for y in pts] for x in pts]
         # near[v, r, s]: the w with d(v, w) <= r and d(w, v) <= s
-        near = _Lazy(lambda k: frozenset(
-            w for w in range(n)
+        near = _Lazy(lambda k: sum(
+            1 << w for w in range(n)
             if leq(rows[k[0]][w], k[1]) and leq(rows[w][k[0]], k[2])))
         allowed = [_Lazy(lambda v, x=x: {y: near[v, rows[x][y], rows[y][x]]
                                          for y in range(n) if y != x})
                    for x in range(n)]
-        found = first_map([tuple(range(n))] * n, allowed,
-                          forbidden=[{i} for i in range(n)])
+        found = first_map([(1 << n) - 1] * n, allowed,
+                          forbidden=[1 << i for i in range(n)])
         if found is None:
             return True, None
         return False, {pts[i]: pts[v] for i, v in found.items()}

@@ -10,12 +10,14 @@ from gmspace.cli import dispatch
 from gmspace.partitions import (EquivSystem, NotResiduated,
                                 Partition, PreservationViolated,
                                 all_partitions, crt_solve, is_arithmetical,
-                                is_distributive, kaarli_extend, orthogonal,
-                                orthogonal_family_search, preserves_partition,
-                                residuated_distance, sublattice_closure,
-                                ultrametric_from_system)
+                                is_distributive, is_sublattice, kaarli_extend,
+                                orthogonal, orthogonal_family_search,
+                                preserves_partition, residuated_distance,
+                                sublattice_closure, ultrametric_from_system)
 from gmspace._orders import least_of
 from gmspace.spaces import MonoidTable, SizeGuard
+
+from conftest import Budget
 
 Z6 = tuple(range(6))
 MOD2 = Partition.from_blocks(Z6, [[0, 2, 4], [1, 3, 5]])
@@ -73,6 +75,73 @@ def test_closure_examples():
     assert len(sublattice_closure([MOD2, MOD3])) == 4
     with pytest.raises(SizeGuard):
         sublattice_closure(list(all_partitions(tuple(range(6)))), guard=10)
+
+
+def test_closure_guard_fires_as_partitions_are_added(monkeypatch):
+    # four random 4-block partitions of 9 points generate hundreds of
+    # partitions; the guard must stop the closure within two partitions of
+    # its limit, not after a whole round of meets and joins
+    rng = random.Random(5)
+    carrier = tuple(range(9))
+    family = [Partition.from_blocks(carrier, [[x for x in carrier
+                                               if label[x] == b]
+                                              for b in range(4)])
+              for label in ([rng.randrange(4) for _ in carrier]
+                            for _ in range(4))]
+    built = set(family)
+    for op in ("meet", "join"):
+        real = getattr(Partition, op)
+        monkeypatch.setattr(Partition, op, lambda a, b, real=real:
+                            built.add(real(a, b)) or real(a, b))
+    with Budget("closure guard at 32 partitions", 2):
+        with pytest.raises(SizeGuard):
+            sublattice_closure(family, guard=32)
+    assert len(built) <= 32 + 2
+
+
+def reference_is_sublattice(parts) -> bool:
+    """The closure test before the meet/join tables: every pair's meet and
+    join, built as partitions, looked up in the family."""
+    ps = set(parts)
+    return all(a.meet(b) in ps and a.join(b) in ps for a in ps for b in ps)
+
+
+def reference_is_distributive(parts) -> bool:
+    """Distributivity before the meet/join tables: about 4k^3 partitions
+    built for a family of k."""
+    ps = list(parts)
+    if not reference_is_sublattice(ps):
+        raise ValueError("not a meet/join-closed set of partitions")
+    return all(a.meet(b.join(c)) == a.meet(b).join(a.meet(c))
+               for a in ps for b in ps for c in ps)
+
+
+def test_lattice_tables_match_cubic_oracles():
+    rng = random.Random(2204)
+    verdicts = set()
+    for k in range(300):
+        carrier = tuple(range(rng.randint(1, 6)))
+        gens = [random_partition(rng, carrier)
+                for _ in range(rng.randint(1, 3))]
+        try:
+            family = list(sublattice_closure(gens, guard=40))
+        except SizeGuard:
+            continue
+        rng.shuffle(family)
+        if k % 2 and len(family) > 2:
+            family.pop(rng.randrange(len(family)))
+        closed = reference_is_sublattice(family)
+        assert is_sublattice(family) == closed, family
+        if closed:
+            want = reference_is_distributive(family)
+            assert is_distributive(family) == want, family
+            assert is_distributive(family + family[:2]) == want
+            verdicts.add(want)
+        else:
+            with pytest.raises(ValueError):
+                is_distributive(family)
+            verdicts.add(None)
+    assert verdicts == {True, False, None}
 
 
 def test_arithmetical_examples():
