@@ -140,9 +140,6 @@ class EquivSystem:
                 for r in relations]
         return cls(carrier, tuple(rels))
 
-    def preserves(self, f: Mapping) -> bool:
-        return all(preserves_partition(f, r) for r in self.relations)
-
     def to_json(self) -> dict:
         return {"carrier": list(self.carrier),
                 "relations": [r.to_json() for r in self.relations]}

@@ -188,12 +188,12 @@ def is_semirigid(system: EquivSystem, guard: int = 12
         if first_map(everything, allowed, seed=(x0, v0), **options):
             found = first_map(everything, allowed, seed=(x0, v0),
                               reorder=rebuilt, **options)
-            witness = {carrier[i]: carrier[v] for i, v in found.items()}
-            if not (system.preserves(witness)
-                    and _is_witness(carrier, witness)):
+            if not _is_witness(range(n), found) or any(  # a block split by f
+                    len({(b[x], b[v]) for x, v in found.items()}) > len(set(b))
+                    for b in map(Partition._block_vector, system.relations)):
                 raise AssertionError("is_semirigid found a map that is not "
                                      "a witness: engine bug")
-            return False, witness
+            return False, {carrier[i]: carrier[v] for i, v in found.items()}
         exhausted[x0] |= 1 << v0
     return True, None
 

@@ -6,11 +6,12 @@ associative, monotone and reversed by the self-inverse involution.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ._orders import MissingJoin, NotResiduated, axiom_violations, \
-    first_map, is_helly, join_of, least_of, meet_of
+    first_map, is_helly, join_of, least_of, meet_of, members
 
 
 class SizeGuard(ValueError):
@@ -225,18 +226,6 @@ class MonoidTable:
         return self.join([first, second])
 
 
-class _Lazy(dict):
-    """A table whose missing entry k is fill(k), made on first use."""
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
-
 class FiniteGms:
     """A finite point set with a monoid-valued distance table."""
 
@@ -271,21 +260,42 @@ class FiniteGms:
             raise ValueError("space violates the distance axioms: "
                              f"{self._violations[0]}")
 
+    @functools.cached_property
+    def _balls(self) -> tuple:
+        """Built once, as the table is fixed: rows[x][y] indexes d(x, y) in
+        the monoid's elements, and the point bitmasks of the closed balls
+        out[x][r] = {z : d(x, z) <= r} and into[x][r] = {z : d(z, x) <= r}."""
+        m, n = self.monoid, len(self.points)
+        slot = {e: i for i, e in enumerate(m.elements)}
+        up = [[slot[r] for r in m.elements if m.leq(e, r)] for e in m.elements]
+        rows = [[slot[self.dist[(x, y)]] for y in self.points] for x in self.points]
+        out = [[0] * len(slot) for _ in range(n)]
+        into = [[0] * len(slot) for _ in range(n)]
+        for x, z in itertools.product(range(n), repeat=2):
+            for r in up[rows[x][z]]:
+                out[x][r] |= 1 << z
+                into[z][r] |= 1 << x
+        return rows, out, into
+
     def ball(self, x, r) -> frozenset:
-        return frozenset(y for y in self.points if self.monoid.leq(self.d(x, y), r))
+        if x not in self.points:
+            raise ValueError(f"ball center {x!r} is not a point of the space")
+        if r not in self.monoid.elements:
+            raise ValueError(f"ball radius {r!r} is not a monoid element")
+        _, out, _ = self._balls
+        mask = out[self.points.index(x)][self.monoid.elements.index(r)]
+        return frozenset(self.points[z] for z in members(mask))
 
     def is_convex(self) -> bool:
-        """Whenever d(x,y) <= p + q some z satisfies d(x,z) <= p, d(z,y) <= q."""
+        """Whenever d(x, y) <= p + q, the p-ball out of x meets the q-ball
+        into y; the order is read only where these balls do not meet."""
         self._require_axioms()
         m = self.monoid
-        for x in self.points:
-            for y in self.points:
-                for p in m.elements:
-                    for q in m.elements:
-                        if m.leq(self.d(x, y), m.oplus(p, q)) and not any(
-                                m.leq(self.d(x, z), p) and m.leq(self.d(z, y), q)
-                                for z in self.points):
-                            return False
+        _, out, into = self._balls
+        for (i, x), (j, y) in itertools.product(enumerate(self.points), repeat=2):
+            for (a, p), (b, q) in itertools.product(enumerate(m.elements), repeat=2):
+                if not out[i][a] & into[j][b] and m.leq(self.d(x, y), m.oplus(p, q)):
+                    return False
         return True
 
     def _ball_sets(self) -> set[frozenset]:
@@ -314,12 +324,11 @@ class FiniteGms:
         pts = list(subset)
         if not pts:
             raise ValueError("radius needs a nonempty subset")
-        m = self.monoid
-        candidates = [r for r in m.elements
-                      if any(all(m.leq(self.d(x, y), r) for y in pts) for x in pts)]
+        candidates = [r for r in self.monoid.elements
+                      if any(self.ball(x, r).issuperset(pts) for x in pts)]
         if not candidates:
             raise MissingJoin("no radius covers the subset from inside")
-        return m.meet(candidates)
+        return self.monoid.meet(candidates)
 
     def is_equally_centered(self, subset: Iterable) -> bool:
         pts = list(subset)
@@ -376,28 +385,20 @@ class FiniteGms:
         satisfy the distance axioms, as for hyperconvexity.
 
         `first_map` assigns the points in order, each to the other points in
-        order.  f(x) = v limits f(y) to the w with d(v, w) <= d(x, y) and
-        d(w, v) <= d(y, x), the same limit seen from y, as a bitmask of
-        point indices.  The limits are built on first use: a witness is often
-        found within a few nodes, long before a full table would be."""
-        pts, leq = self.points, self.monoid.leq
-        n = len(pts)
+        order.  f(x) = v limits f(y) to the d(x, y)-ball out of v; by the
+        axioms it is the d(y, x)-ball into v, the same limit seen from y."""
+        n = len(self.points)
         if n > guard:
             raise SizeGuard(f"{n} points exceeds the guard {guard}")
         self._require_axioms()
-        rows = [[self.d(x, y) for y in pts] for x in pts]
-        # near[v, r, s]: the w with d(v, w) <= r and d(w, v) <= s
-        near = _Lazy(lambda k: sum(
-            1 << w for w in range(n)
-            if leq(rows[k[0]][w], k[1]) and leq(rows[w][k[0]], k[2])))
-        allowed = [_Lazy(lambda v, x=x: {y: near[v, rows[x][y], rows[y][x]]
-                                         for y in range(n) if y != x})
-                   for x in range(n)]
+        rows, out, _ = self._balls
+        allowed = [[{y: ball[rows[x][y]] for y in range(n) if y != x}
+                    for ball in out] for x in range(n)]
         found = first_map([(1 << n) - 1] * n, allowed,
                           forbidden=[1 << i for i in range(n)])
         if found is None:
             return True, None
-        return False, {pts[i]: pts[v] for i, v in found.items()}
+        return False, {self.points[i]: self.points[v] for i, v in found.items()}
 
     def commuting_fpp_check(self, maps: Sequence[Mapping]) -> bool:
         """Common fixed point of a commuting family of non-expansive maps."""

@@ -6,7 +6,8 @@ from typing import Optional
 import pytest
 
 from gmspace import semirigid
-from gmspace.partitions import EquivSystem, Partition, all_partitions
+from gmspace.partitions import EquivSystem, Partition, all_partitions, \
+    preserves_partition
 from gmspace.semirigid import (Triangle, _is_witness, band_truncation,
                                has_center_of_symmetry, is_monogenic,
                                is_semirigid, is_semirigid_bruteforce,
@@ -59,7 +60,7 @@ def test_not_semirigid_witness():
     assert not ok
     assert any(witness[x] != x for x in C3)
     assert len(set(witness.values())) > 1
-    assert delta_only.preserves(witness)
+    assert all(preserves_partition(witness, r) for r in delta_only.relations)
 
 
 def test_backtracking_matches_bruteforce():
@@ -79,7 +80,7 @@ def test_backtracking_matches_bruteforce():
         ok, witness = is_semirigid(system)
         assert ok == is_semirigid_bruteforce(system)[0], system
         if not ok:
-            assert system.preserves(witness)
+            assert all(preserves_partition(witness, r) for r in system.relations)
             assert _is_witness(system.carrier, witness)
         verdicts.append(ok)
     assert 0 < sum(verdicts) < len(verdicts)
@@ -447,6 +448,19 @@ def test_wrong_pruning_table_is_an_engine_bug(monkeypatch):
         return real(domains, [[{} for _ in row] for row in allowed], **options)
 
     monkeypatch.setattr(semirigid, "first_map", allow_everything)
+    with pytest.raises(AssertionError, match="engine bug"):
+        is_semirigid(zadori_system(5))
+
+
+def test_search_without_its_leaf_test_is_an_engine_bug(monkeypatch):
+    # without the leaf test the search returns a constant map, which
+    # preserves every relation; the final check must still reject it
+    real = semirigid.first_map
+
+    def no_leaf(domains, allowed, leaf, **options):
+        return real(domains, allowed, **options)
+
+    monkeypatch.setattr(semirigid, "first_map", no_leaf)
     with pytest.raises(AssertionError, match="engine bug"):
         is_semirigid(zadori_system(5))
 

@@ -61,6 +61,11 @@ def test_ball_examples():
     assert sp.ball("x", 0) == frozenset({"x"})
     assert sp.ball("x", 2) == frozenset({"x", "y"})
     assert sp.ball("x", 1) == frozenset({"x", "y"})
+    canonical = canonical_distance_space(MonoidTable.chain(2))
+    with pytest.raises(ValueError, match="radius 99"):
+        canonical.ball(0, 99)
+    with pytest.raises(ValueError, match="center 42"):
+        canonical.ball(42, 0)
 
 
 def test_hyperconvexity_examples():
@@ -279,6 +284,12 @@ def test_space_json_round_trip():
     assert sp.d("x", "y") == 1
 
 
+def ball_by_scan(space, x, r):
+    """Oracle: the closed ball {y : d(x, y) <= r}, from the distance table
+    and the order alone."""
+    return frozenset(y for y in space.points if space.monoid.leq(space.d(x, y), r))
+
+
 def hyperconvex_by_enumeration(space):
     """Oracle: every family of balls whose centres are compatible,
     d(x_i, x_j) <= r_i + inv(r_j), has a common point."""
@@ -290,9 +301,24 @@ def hyperconvex_by_enumeration(space):
                    for xi, ri in family for xj, rj in family):
                 common = frozenset(space.points)
                 for x, r in family:
-                    common &= space.ball(x, r)
+                    common &= ball_by_scan(space, x, r)
                 if not common:
                     return False
+    return True
+
+
+def convex_by_scan(space):
+    """Oracle: the z-scan that `is_convex` replaced; whenever
+    d(x, y) <= p + q, some z has d(x, z) <= p and d(z, y) <= q."""
+    m = space.monoid
+    for x in space.points:
+        for y in space.points:
+            for p in m.elements:
+                for q in m.elements:
+                    if m.leq(space.d(x, y), m.oplus(p, q)) and not any(
+                            m.leq(space.d(x, z), p) and m.leq(space.d(z, y), q)
+                            for z in space.points):
+                        return False
     return True
 
 
@@ -437,11 +463,24 @@ def test_2helly_matches_maximal_cliques_on_random_spaces():
     rng = random.Random(26)
     verdicts = []
     for sp in random_spaces(rng, 300):
+        balls = {ball_by_scan(sp, x, r) for x in sp.points for r in sp.monoid.elements}
+        assert sp._ball_sets() == balls
         got = sp.is_2helly()
-        assert got == helly_by_cliques(sp._ball_sets(), sp.points), \
-            (sp.points, sp.dist)
+        assert got == helly_by_cliques(balls, sp.points), (sp.points, sp.dist)
         verdicts.append(got)
     assert any(verdicts) and not all(verdicts)
+
+
+def test_convexity_matches_the_scan():
+    """Every small space, and 300 seeded spaces of 4-8 points (all satisfy
+    the axioms), with both verdicts among each."""
+    sampled = list(random_spaces(random.Random(28), 300))
+    assert not any(sp.check_axioms() for sp in sampled)
+    for spaces in (list(small_spaces()), sampled):
+        verdicts = [sp.is_convex() for sp in spaces]
+        assert any(verdicts) and not all(verdicts)
+        for sp, got in zip(spaces, verdicts):
+            assert got == convex_by_scan(sp), (sp.points, sp.dist)
 
 
 def test_helly_triple_test_matches_maximal_cliques_on_random_families():
