@@ -1,8 +1,10 @@
-"""Exact-arithmetic generalized metric spaces over involutive quantales."""
+"""Exact-arithmetic generalized metric spaces over involutive quantales,
+read through the protocol documented in `gmspace._orders`."""
 
 from . import automata  # bench/tracer.py looks modules up in sys.modules
+from ._orders import canonical_distance
 from .words import Alphabet, AlphabetMismatch, PLUS_MINUS, Word, subword_leq
-from .segments import FinalSegment, residual, residual_distance, in_macneille
+from .segments import FinalSegment, SEGMENTS, residual, in_macneille
 from .zigzag import ReflexiveDigraph, DistanceMatrix, zigzag_distance, \
     distance_matrix
 from .spaces import FiniteGms, MonoidTable, SizeGuard
@@ -11,7 +13,7 @@ from .zcong import IntPoly, cgg_generator, is_congruence_preserving, lcm_upto
 
 __all__ = [
     "Alphabet", "AlphabetMismatch", "PLUS_MINUS", "Word", "subword_leq",
-    "FinalSegment", "residual", "residual_distance", "in_macneille",
+    "canonical_distance", "FinalSegment", "SEGMENTS", "residual", "in_macneille",
     "ReflexiveDigraph", "DistanceMatrix", "zigzag_distance", "distance_matrix",
     "FiniteGms", "MonoidTable", "SizeGuard",
     "EquivSystem", "Partition",

@@ -1,6 +1,15 @@
-"""Shared helpers for finite orders: bounds, the distance axioms, the
-Helly property of ball families, the error for maps that break
-preservation, and the search for maps that preserve binary relations."""
+"""Shared helpers for finite orders: bounds, the quantale constructions, the
+distance axioms, the Helly property of ball families, the error for maps that
+break preservation, and the search for maps that preserve binary relations.
+
+The quantale functions take a value quantale `q`, an ordered monoid with an
+involution, through six operations and no enumeration of its elements:
+q.leq(a, b) the order, q.oplus(a, b) the monoid operation, q.inv(a) the
+involution (order-preserving, self-inverse, reversing oplus), q.join(a, b)
+and q.meet(a, b) the lattice bounds, and q.residual(v, b, side) the least r
+with v <= r (+) b (side "right") or v <= b (+) r (side "left").  A
+`spaces.MonoidTable` is one (its join and meet take any number of
+elements); `segments.SEGMENTS` binds the final-segment quantale's."""
 from __future__ import annotations
 
 import itertools
@@ -58,23 +67,43 @@ def meet_of(elements: Iterable[T], subset: Iterable[T],
     return glb
 
 
-def axiom_violations(points: Sequence, rows: Sequence[Sequence], zero,
-                     inv: Callable, leq: Callable, oplus: Callable) -> list[tuple]:
+def canonical_distance(q, p, r):
+    """The least d with p <= r (+) inv(d) and r <= p (+) d: the join of the
+    residual of inv(p) by inv(r) on the right and of r by p on the left.
+    Over a Heyting table it makes the table a hyperconvex space."""
+    return q.join(q.residual(q.inv(p), q.inv(r), "right"),
+                  q.residual(r, p, "left"))
+
+
+def is_accessible(q, v, candidates: Iterable) -> bool:
+    """Some candidate r has v not<= r and v <= r (+) inv(r).  The caller
+    bounds the existential: all elements of a table, or an explicit set of
+    an infinite quantale."""
+    cands = list(candidates)
+    if not cands:
+        raise ValueError("candidate set must be nonempty")
+    return any(not q.leq(v, r) and q.leq(v, q.oplus(r, q.inv(r)))
+               for r in cands)
+
+
+def axiom_violations(points: Sequence, rows: Sequence[Sequence], q,
+                     zero) -> list[tuple]:
     """Every violation of separation, involution symmetry and the triangle
-    inequality by the table rows[i][j] = d(points[i], points[j]), with a
-    witness: separation and involution over (x, y) first, then the triangle
-    over (x, z, y) with y innermost.  The points must be distinct."""
+    inequality by the table rows[i][j] = d(points[i], points[j]) over the
+    quantale q with neutral element zero, with a witness: separation and
+    involution over (x, y) first, then the triangle over (x, z, y) with y
+    innermost.  The points must be distinct."""
     bad = []
     for i, x in enumerate(points):
         for j, y in enumerate(points):
             if (rows[i][j] == zero) != (i == j):
                 bad.append(("separation", x, y))
-            if inv(rows[j][i]) != rows[i][j]:
+            if q.inv(rows[j][i]) != rows[i][j]:
                 bad.append(("involution", x, y))
     for i, x in enumerate(points):
         for k, z in enumerate(points):
             for j, y in enumerate(points):
-                if not leq(rows[i][j], oplus(rows[i][k], rows[k][j])):
+                if not q.leq(rows[i][j], q.oplus(rows[i][k], rows[k][j])):
                     bad.append(("triangle", x, z, y))
     return bad
 

@@ -87,14 +87,12 @@ def parse_poly(text: str) -> IntPoly:
     std = [Fraction(0)] * (max(power, default=0) + 1)
     for k, c in power.items():
         std[k] = c
-    if binom:
-        extra = IntPoly.of([binom.get(k, 0) for k in range(max(binom) + 1)])
-        for k, c in enumerate(extra.to_standard()):
-            while len(std) <= k:
-                std.append(Fraction(0))
-            std[k] += c
+    extra = IntPoly.of([binom.get(k, 0)
+                        for k in range(max(binom, default=-1) + 1)])
     try:
-        return IntPoly.from_standard(std)
+        # the binomial part is integer-valued, so the sum is exactly when
+        # the power part is
+        return IntPoly.from_standard(std) + extra
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 

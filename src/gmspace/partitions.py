@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ._orders import MissingJoin, NotResiduated, PreservationViolated, least_of
-from .spaces import FiniteGms, MonoidTable, SizeGuard
+from .spaces import FiniteGms, MonoidTable, SizeGuard, canonical_distance_space
 
 
 @dataclass(frozen=True)
@@ -331,9 +331,8 @@ def residuated_distance(elements: Sequence, leq_pairs: Iterable[tuple]) -> dict:
 
     Raises NotResiduated with the witness pair exactly when some residual is
     missing, which for a finite lattice means it is not distributive."""
-    monoid = MonoidTable.from_join_semilattice(elements, leq_pairs)
-    return {(x, y): monoid.canonical_distance(x, y)
-            for x in monoid.elements for y in monoid.elements}
+    return canonical_distance_space(
+        MonoidTable.from_join_semilattice(elements, leq_pairs)).dist
 
 
 def orthogonal(rho: Partition, tau: Partition) -> bool:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, Optional
 
 from .words import PLUS_MINUS, Alphabet, AlphabetMismatch, Word, all_words, \
@@ -182,12 +183,11 @@ def residual(v: FinalSegment, b: FinalSegment, side: str) -> FinalSegment:
     return out
 
 
-def residual_distance(p: FinalSegment, q: FinalSegment) -> FinalSegment:
-    """Canonical distance on the quantale: the least r such that
-    p <= q (+) involute(r) and q <= p (+) r."""
-    left = residual(p.involute(), q.involute(), "right")
-    right = residual(q, p, "left")
-    return left.join(right)
+# The final-segment quantale in the sense of `_orders`; the canonical distance
+# is `_orders.canonical_distance(SEGMENTS, p, q)`.
+SEGMENTS = SimpleNamespace(leq=FinalSegment.leq, oplus=FinalSegment.oplus,
+                           inv=FinalSegment.involute, join=FinalSegment.join,
+                           meet=FinalSegment.meet, residual=residual)
 
 
 def in_macneille(z: FinalSegment) -> tuple[bool, Optional[tuple[Word, Word]]]:
@@ -265,22 +265,6 @@ def is_self_dual(v: FinalSegment) -> bool:
     return v.involute() == v
 
 
-def is_accessible(v: FinalSegment, candidates: Iterable[FinalSegment]) -> bool:
-    """Search the candidate set for r with v not<= r and v <= r (+) inv(r).
-
-    The quantale is infinite, so the existential is bounded by an explicit
-    candidate set; principal upsets of bounded length are a sound default
-    for elements of the MacNeille completion.
-    """
-    cands = list(candidates)
-    if not cands:
-        raise ValueError("candidate set must be nonempty")
-    for r in cands:
-        if not v.leq(r) and v.leq(r.oplus(r.involute())):
-            return True
-    return False
-
-
 def principal_upsets(alphabet: Alphabet, max_len: int) -> list[FinalSegment]:
     """All principal final segments generated by one word of length <= max_len."""
     return [FinalSegment._canonical(alphabet, (w.code,))
@@ -288,5 +272,9 @@ def principal_upsets(alphabet: Alphabet, max_len: int) -> list[FinalSegment]:
 
 
 def default_accessibility_candidates(v: FinalSegment) -> list[FinalSegment]:
+    """Principal upsets one letter longer than v's longest generator: the
+    quantale is infinite, so `_orders.is_accessible` needs an explicit
+    candidate set, and these are a sound one for elements of the MacNeille
+    completion."""
     longest = max((len(g) for g in v.generators), default=0)
     return principal_upsets(v.alphabet, longest + 1)

@@ -11,7 +11,8 @@ import itertools
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ._orders import MissingJoin, NotResiduated, axiom_violations, \
-    first_map, is_helly, join_of, least_of, meet_of, members
+    canonical_distance, first_map, is_accessible, is_helly, join_of, least_of, \
+    meet_of, members
 
 
 class SizeGuard(ValueError):
@@ -82,19 +83,15 @@ class MonoidTable:
     def inv(self, a):
         return self._inv[a]
 
-    def join(self, subset):
-        return join_of(self.elements, subset, self.leq)
+    def join(self, *items):
+        return join_of(self.elements, items, self.leq)
 
-    def meet(self, subset):
-        return meet_of(self.elements, subset, self.leq)
-
-    def is_accessible(self, v) -> bool:
-        """Full enumeration of the witnessing r: v not<= r and v <= r+inv(r)."""
-        return any(not self.leq(v, r) and self.leq(v, self.oplus(r, self.inv(r)))
-                   for r in self.elements)
+    def meet(self, *items):
+        return meet_of(self.elements, items, self.leq)
 
     def inaccessible_elements(self) -> frozenset:
-        return frozenset(v for v in self.elements if not self.is_accessible(v))
+        return frozenset(v for v in self.elements
+                         if not is_accessible(self, v, self.elements))
 
     # --- stock constructions -------------------------------------------------
 
@@ -136,23 +133,23 @@ class MonoidTable:
             divs, [(a, b) for a in divs for b in divs if a != b and b % a == 0])
 
     @classmethod
+    def _saturating(cls, below: Mapping, inv: Mapping) -> MonoidTable:
+        """The elements of `below` (each mapped to the set of those under
+        it), with "0" neutral and every product of nonzero elements "t"."""
+        leq = [(a, b) for b, lows in below.items() for a in lows]
+        oplus = {(a, b): "t" for a in below for b in below}
+        for a in below:
+            oplus[("0", a)] = oplus[(a, "0")] = a
+        return cls(list(below), leq, oplus, inv, "0")
+
+    @classmethod
     def involutive_four(cls) -> MonoidTable:
         """0 < p, m < t with p and m exchanged by the involution and every
         product of nonzero elements saturating to t.  Not meet-distributive
         (p and m meet at 0); kept as a plain involutive monoid example."""
-        elems = ["0", "p", "m", "t"]
-        leq = [("0", "p"), ("0", "m"), ("0", "t"), ("p", "t"), ("m", "t")]
-        oplus = {}
-        for a in elems:
-            for b in elems:
-                if a == "0":
-                    oplus[(a, b)] = b
-                elif b == "0":
-                    oplus[(a, b)] = a
-                else:
-                    oplus[(a, b)] = "t"
-        inv = {"0": "0", "p": "m", "m": "p", "t": "t"}
-        return cls(elems, leq, oplus, inv, "0")
+        return cls._saturating(
+            {"0": set(), "p": {"0"}, "m": {"0"}, "t": {"0", "p", "m"}},
+            {"0": "0", "p": "m", "m": "p", "t": "t"})
 
     @classmethod
     def zigzag_truncation(cls) -> MonoidTable:
@@ -161,34 +158,25 @@ class MonoidTable:
 
         0 < n < p, m < t where n stands for the nonempty words, p and m for
         the upsets of + and -, and t for the absorbing top.  This is a finite
-        involutive Heyting algebra in which only 0 is inaccessible, so every
-        space over it is bounded."""
-        elems = ["0", "n", "p", "m", "t"]
-        below = {"0": set(), "n": {"0"}, "p": {"0", "n"}, "m": {"0", "n"},
-                 "t": {"0", "n", "p", "m"}}
-        leq = [(a, b) for b, lows in below.items() for a in lows]
-        oplus = {}
-        for a in elems:
-            for b in elems:
-                if a == "0":
-                    oplus[(a, b)] = b
-                elif b == "0":
-                    oplus[(a, b)] = a
-                else:
-                    oplus[(a, b)] = "t"
-        inv = {"0": "0", "n": "n", "p": "m", "m": "p", "t": "t"}
-        return cls(elems, leq, oplus, inv, "0")
+        involutive Heyting algebra whose inaccessible elements are 0 and n:
+        the only r not above n is 0, and 0 (+) inv(0) = 0.  Every nonzero
+        element lies above n, so only a space of diameter 0 over it is
+        bounded; its own canonical space has diameter t."""
+        return cls._saturating(
+            {"0": set(), "n": {"0"}, "p": {"0", "n"}, "m": {"0", "n"},
+             "t": {"0", "n", "p", "m"}},
+            {"0": "0", "n": "n", "p": "m", "m": "p", "t": "t"})
 
     def is_heyting(self) -> bool:
         """Complete lattice whose operation distributes over meets on both
         sides (binary meets plus top absorption suffice in a finite lattice)."""
         try:
-            top = self.join(self.elements)
-            meets = {(a, b): self.meet([a, b])
+            top = self.join(*self.elements)
+            meets = {(a, b): self.meet(a, b)
                      for a in self.elements for b in self.elements}
             for a in self.elements:
                 for b in self.elements:
-                    self.join([a, b])
+                    self.join(a, b)
         except MissingJoin:
             return False
         for a in self.elements:
@@ -218,13 +206,6 @@ class MonoidTable:
             raise NotResiduated(v, beta)
         return r
 
-    def canonical_distance(self, p, q):
-        """The least r with p <= q + inv(r) and q <= p + r; the distance that
-        makes a Heyting-algebra table into a hyperconvex space."""
-        first = self.residual(self.inv(p), self.inv(q), "right")
-        second = self.residual(q, p, "left")
-        return self.join([first, second])
-
 
 class FiniteGms:
     """A finite point set with a monoid-valued distance table."""
@@ -251,7 +232,7 @@ class FiniteGms:
         symmetry with a witness."""
         m = self.monoid
         rows = [[self.dist[(x, y)] for y in self.points] for x in self.points]
-        return axiom_violations(self.points, rows, m.zero, m.inv, m.leq, m.oplus)
+        return axiom_violations(self.points, rows, m, m.zero)
 
     def _require_axioms(self):
         if self._violations is None:  # once per space: the table is fixed
@@ -315,8 +296,7 @@ class FiniteGms:
 
     def diameter(self, subset: Optional[Iterable] = None):
         pts = list(self.points if subset is None else subset)
-        return self.monoid.join([self.d(x, y) for x in pts for y in pts]
-                                or [self.monoid.zero])
+        return self.monoid.join(*[self.d(x, y) for x in pts for y in pts])
 
     def radius(self, subset: Iterable):
         """Least radius r with the subset inside B(x, r) for some center x
@@ -328,7 +308,7 @@ class FiniteGms:
                       if any(self.ball(x, r).issuperset(pts) for x in pts)]
         if not candidates:
             raise MissingJoin("no radius covers the subset from inside")
-        return self.monoid.meet(candidates)
+        return self.monoid.meet(*candidates)
 
     def is_equally_centered(self, subset: Iterable) -> bool:
         pts = list(subset)
@@ -417,7 +397,7 @@ class FiniteGms:
 
 def canonical_distance_space(monoid: MonoidTable) -> FiniteGms:
     """The monoid itself as a metric space under its canonical distance."""
-    dist = {(p, q): monoid.canonical_distance(p, q)
+    dist = {(p, q): canonical_distance(monoid, p, q)
             for p in monoid.elements for q in monoid.elements}
     return FiniteGms(monoid.elements, monoid, dist)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from ._orders import axiom_violations
-from .segments import FinalSegment, in_macneille
+from .segments import SEGMENTS, FinalSegment, in_macneille
 from .words import PLUS_MINUS, Word, covers, sort_codes
 
 
@@ -154,10 +154,8 @@ class DistanceMatrix:
     def check_axioms(self) -> list[tuple]:
         """Violations of separation, the triangle inequality and involution
         symmetry, each with a witness tuple (see ``axiom_violations``)."""
-        zero = FinalSegment.zero(PLUS_MINUS)
-        return axiom_violations(self.vertices, self.entries, zero,
-                                FinalSegment.involute, FinalSegment.leq,
-                                FinalSegment.oplus)
+        return axiom_violations(self.vertices, self.entries, SEGMENTS,
+                                FinalSegment.zero(PLUS_MINUS))
 
     def to_json(self) -> dict:
         return {"vertices": list(self.vertices),

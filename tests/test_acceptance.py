@@ -57,7 +57,12 @@ def test_criterion_2_minimal_antichain_oracle():
 
 
 def test_criterion_3_quantale_laws():
-    from gmspace.segments import residual, residual_distance
+    from gmspace._orders import canonical_distance
+    from gmspace.segments import SEGMENTS, residual
+
+    def dist(p, q):
+        return canonical_distance(SEGMENTS, p, q)
+
     rng = random.Random(103)
     shorts = [FinalSegment.of(A, [v]) for v in all_words(A, 2)]
     with Budget("criterion 3 (distributivity, adjunction, distance axioms)", 60):
@@ -70,11 +75,10 @@ def test_criterion_3_quantale_laws():
             for cand in shorts[:8]:
                 if p.leq(cand.oplus(q)):
                     assert res.leq(cand)
-            dpq, dqr, dpr = (residual_distance(p, q), residual_distance(q, r),
-                             residual_distance(p, r))
+            dpq, dqr, dpr = dist(p, q), dist(q, r), dist(p, r)
             assert dpr.leq(dpq.oplus(dqr))
-            assert residual_distance(q, p) == dpq.involute()
-            assert residual_distance(p, p).is_zero()
+            assert dist(q, p) == dpq.involute()
+            assert dist(p, p).is_zero()
 
 
 def test_criterion_4_macneille_and_embeddability():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import word_oracle as old
-from gmspace.segments import FinalSegment, residual, residual_distance
+from gmspace._orders import canonical_distance
+from gmspace.segments import SEGMENTS, FinalSegment, residual
 from gmspace.words import PLUS_MINUS, Alphabet, Word, covers, minimize_words
 
 WIDE = Alphabet.identity(["ab", "cd", "e"])
@@ -46,7 +47,8 @@ def test_kernel_matches_tuple_oracle(alphabet):
         assert same(p.involute(), rp.involute())
         for side in ("left", "right"):
             assert same(residual(p, q, side), old.residual(rp, rq, side))
-        assert same(residual_distance(p, q), old.residual_distance(rp, rq))
+        assert same(canonical_distance(SEGMENTS, p, q),
+                    old.residual_distance(rp, rq))
 
 
 def test_minimize_and_subword_match_oracle():
@@ -140,7 +142,7 @@ def test_kernel_results_take_the_private_path(monkeypatch):
 
     monkeypatch.setattr(FinalSegment, "__post_init__", refuse)
     results = [p.meet(q), p.join(q), p.oplus(q), q.oplus(p), p.involute(),
-               residual(p, q, "left"), residual_distance(p, q),
+               residual(p, q, "left"), canonical_distance(SEGMENTS, p, q),
                FinalSegment.of(PLUS_MINUS, ["-", "+"]),
                FinalSegment.zero(), FinalSegment.empty()]
     monkeypatch.undo()

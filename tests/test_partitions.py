@@ -327,7 +327,7 @@ def looped_residuated_distance(elements, leq_pairs):
             raise NotResiduated(x, y)
         return r
 
-    return {(x, y): monoid.join([resid(x, y), resid(y, x)])
+    return {(x, y): monoid.join(resid(x, y), resid(y, x))
             for x in monoid.elements for y in monoid.elements}
 
 

@@ -5,9 +5,10 @@ from itertools import combinations
 import pytest
 
 from gmspace import automata
-from gmspace.segments import (FinalSegment, default_accessibility_candidates,
-                              in_macneille, is_accessible, is_self_dual,
-                              principal_upsets, residual, residual_distance)
+from gmspace._orders import canonical_distance, is_accessible
+from gmspace.segments import (SEGMENTS, FinalSegment,
+                              default_accessibility_candidates, in_macneille,
+                              is_self_dual, principal_upsets, residual)
 from gmspace.words import PLUS_MINUS, AlphabetMismatch, Word, all_words
 
 from conftest import w, seg, random_segment, segment_automaton, word_quotient
@@ -16,6 +17,10 @@ from word_oracle import is_antichain
 A = PLUS_MINUS
 ZERO = FinalSegment.zero(A)
 EMPTY = FinalSegment.empty(A)
+
+
+def dist(p, q):
+    return canonical_distance(SEGMENTS, p, q)
 
 
 def test_order_and_lattice_examples():
@@ -54,10 +59,10 @@ def test_residual_examples():
 
 
 def test_distance_examples():
-    assert residual_distance(seg("+"), seg("+")) == ZERO
-    assert residual_distance(ZERO, seg("-")) == seg("-")
-    assert residual_distance(seg("+"), seg("-")) == seg("-")
-    assert residual_distance(seg("-"), seg("+")) == seg("+")
+    assert dist(seg("+"), seg("+")) == ZERO
+    assert dist(ZERO, seg("-")) == seg("-")
+    assert dist(seg("+"), seg("-")) == seg("-")
+    assert dist(seg("-"), seg("+")) == seg("+")
 
 
 def test_alphabet_mismatch():
@@ -83,12 +88,12 @@ def test_distance_triangle_and_involution_axioms():
     rng = random.Random(4)
     for _ in range(120):
         p, q, r = _random_segments(3, rng)
-        dpr = residual_distance(p, r)
-        dpq = residual_distance(p, q)
-        dqr = residual_distance(q, r)
+        dpr = dist(p, r)
+        dpq = dist(p, q)
+        dqr = dist(q, r)
         assert dpr.leq(dpq.oplus(dqr))
-        assert residual_distance(q, p) == residual_distance(p, q).involute()
-        assert residual_distance(p, p) == ZERO
+        assert dist(q, p) == dist(p, q).involute()
+        assert dist(p, p) == ZERO
 
 
 def test_residual_adjunction_and_minimality():
@@ -113,7 +118,7 @@ def test_distance_is_least_of_its_defining_set():
     shorts = [FinalSegment.of(A, [v]) for v in all_words(A, 2)]
     for _ in range(40):
         p, q = _random_segments(2, rng)
-        d = residual_distance(p, q)
+        d = dist(p, q)
         assert p.leq(q.oplus(d.involute())) and q.leq(p.oplus(d))
         for r in shorts:
             if p.leq(q.oplus(r.involute())) and q.leq(p.oplus(r)):
@@ -246,13 +251,14 @@ def test_macneille_matches_acceptor_search_on_random_segments():
 
 def test_accessibility_examples():
     cands = principal_upsets(A, 2)
-    assert not is_accessible(ZERO, cands)
-    assert is_accessible(seg("+-"), cands)
+    assert not is_accessible(SEGMENTS, ZERO, cands)
+    assert is_accessible(SEGMENTS, seg("+-"), cands)
     assert is_self_dual(seg("+-"))
     assert not is_self_dual(seg("+"))
-    assert is_accessible(seg("+-"), default_accessibility_candidates(seg("+-")))
+    assert is_accessible(SEGMENTS, seg("+-"),
+                         default_accessibility_candidates(seg("+-")))
     with pytest.raises(ValueError):
-        is_accessible(ZERO, [])
+        is_accessible(SEGMENTS, ZERO, [])
 
 
 def test_macneille_members_nonzero_nonempty_are_accessible():
@@ -261,7 +267,8 @@ def test_macneille_members_nonzero_nonempty_are_accessible():
         if z == ZERO or z.is_empty_set():
             continue
         if in_macneille(z)[0]:
-            assert is_accessible(z, default_accessibility_candidates(z)), str(z)
+            assert is_accessible(SEGMENTS, z,
+                                 default_accessibility_candidates(z)), str(z)
 
 
 def test_serialization_round_trip():

@@ -31,7 +31,8 @@ def test_monoid_validation():
                                  for b in (0, 1)}, {0: 0, 1: 1}, 0)
     chain = MonoidTable.chain(2)
     assert chain.leq(0, 2) and not chain.leq(2, 1)
-    assert chain.join([1, 2]) == 2 and chain.meet([1, 2]) == 1
+    assert chain.join(1, 2) == 2 and chain.meet(1, 2) == 1
+    assert chain.join() == 0 and chain.meet(*chain.elements) == 0
 
 
 def test_monoid_heyting_flags():
@@ -131,6 +132,8 @@ def test_normal_structure_and_boundedness():
     assert not space.is_bounded()
     zt = MonoidTable.zigzag_truncation()
     assert zt.inaccessible_elements() == frozenset({"0", "n"})
+    zt_space = canonical_distance_space(zt)
+    assert zt_space.diameter() == "t" and not zt_space.is_bounded()
     one = FiniteGms(["p"], MonoidTable.chain(1), {("p", "p"): 0})
     assert one.is_bounded() and one.has_normal_structure()
 
