@@ -97,16 +97,20 @@ def parse_poly(text: str) -> IntPoly:
         raise InputError(str(exc)) from exc
 
 
+def _point(x):
+    """A carrier point from JSON: a list (say, a pair) becomes a tuple."""
+    return tuple(x) if isinstance(x, list) else x
+
+
 def _system_from_json(payload) -> EquivSystem:
     if isinstance(payload, dict):
-        carrier = [tuple(x) if isinstance(x, list) else x
-                   for x in payload["carrier"]]
+        carrier = [_point(x) for x in payload["carrier"]]
         rels = payload["relations"]
     else:
         rels = payload
-        carrier = sorted({x for rel in rels for block in rel for x in block})
-    conv = lambda b: [tuple(x) if isinstance(x, list) else x for x in b]
-    return EquivSystem.of(carrier, [[conv(b) for b in rel] for rel in rels])
+        carrier = sorted({_point(x) for rel in rels for block in rel for x in block})
+    return EquivSystem.of(carrier, [[[_point(x) for x in b] for b in rel]
+                                    for rel in rels])
 
 
 def _verdict(key: str, found: tuple, render, **result) -> tuple[dict, int]:
@@ -188,7 +192,8 @@ def _eqv_crt(args):
     bad = [i for _, i in pairs if type(i) is not int or not 0 <= i < len(rels)]
     if bad:
         raise InputError(f"no relation {bad[0]!r} among the {len(rels)} given")
-    res = crt_solve(sublattice_closure(rels), [(a, rels[i]) for a, i in pairs])
+    res = crt_solve(sublattice_closure(rels),
+                    [(_point(a), rels[i]) for a, i in pairs])
     result = {"status": res.status}
     if res.status == "ok":
         result["solution"] = res.solution
@@ -198,10 +203,14 @@ def _eqv_crt(args):
 
 
 def _eqv_extend(args):
-    lattice = sublattice_closure(_system_from_json(args.input).relations)
-    f = {k: v for k, v in (tuple(p) for p in args.input["map"])}
+    system = _system_from_json(args.input)
+    f = {_point(k): _point(v) for k, v in args.input["map"]}
+    z = _point(args.input["z"])
+    outside = [x for x in (*f, *f.values(), z) if x not in system.carrier]
+    if outside:
+        raise InputError(f"point {outside[0]!r} is not in the carrier")
     try:
-        g = kaarli_extend(list(lattice), f, args.input["z"])
+        g = kaarli_extend(list(sublattice_closure(system.relations)), f, z)
     except PreservationViolated as exc:
         return {"status": "preservation_violated", "detail": str(exc)}, 1
     return {"status": "ok", "extension": sorted([k, v] for k, v in g.items())}, 0

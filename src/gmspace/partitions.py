@@ -147,9 +147,11 @@ class EquivSystem:
 
 def preserves_partition(f: Mapping, rho: Partition) -> bool:
     """A (possibly partial) map preserves rho when related arguments in its
-    domain have related images."""
-    dom = [x for x in rho.carrier if x in f]
-    return all(rho.same(f[x], f[y]) for x in dom for y in dom if rho.same(x, y))
+    domain have related images: the block of x fixes the block of f(x).
+    Domain points outside the carrier are ignored."""
+    index, image = rho._index, {}
+    return all(image.setdefault(index[x], index[y]) == index[y]
+               for x, y in f.items() if x in index)
 
 
 def sublattice_closure(parts: Iterable[Partition], guard: int = 512

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from ._orders import first_map, members
-from .partitions import EquivSystem, Partition
+from .partitions import EquivSystem, Partition, preserves_partition
 from .spaces import SizeGuard
 
 Point = tuple[Fraction, Fraction]
@@ -188,12 +188,12 @@ def is_semirigid(system: EquivSystem, guard: int = 12
         if first_map(everything, allowed, seed=(x0, v0), **options):
             found = first_map(everything, allowed, seed=(x0, v0),
                               reorder=rebuilt, **options)
-            if not _is_witness(range(n), found) or any(  # a block split by f
-                    len({(b[x], b[v]) for x, v in found.items()}) > len(set(b))
-                    for b in map(Partition._block_vector, system.relations)):
+            witness = {carrier[i]: carrier[v] for i, v in found.items()}
+            if not _is_witness(range(n), found) or not all(
+                    preserves_partition(witness, rho) for rho in system.relations):
                 raise AssertionError("is_semirigid found a map that is not "
                                      "a witness: engine bug")
-            return False, {carrier[i]: carrier[v] for i, v in found.items()}
+            return False, witness
         exhausted[x0] |= 1 << v0
     return True, None
 

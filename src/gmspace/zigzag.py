@@ -13,11 +13,12 @@ fills each row in canonical order, without a subword test or a sort.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Mapping, Optional
 
 from ._orders import axiom_violations
 from .segments import SEGMENTS, FinalSegment, in_macneille
-from .words import PLUS_MINUS, Word, covers, sort_codes
+from .words import PLUS_MINUS, Word, covers
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,7 @@ class ReflexiveDigraph:
             if a not in vs or b not in vs:
                 raise ValueError(f"edge {(a, b)} uses unknown vertex")
         loops = {(v, v) for v in vs}
-        added = not loops <= es
-        return cls(vs, frozenset(es | loops), added)
+        return cls(vs, frozenset(es | loops), not loops <= es)
 
     @classmethod
     def from_json(cls, payload: Mapping) -> ReflexiveDigraph:
@@ -82,8 +82,8 @@ class _Step(dict):
 
 
 def _steps(g: ReflexiveDigraph) -> tuple[_Step, _Step]:
-    """The steps of the letters + and -, in this order, which is the order
-    of their codes (see ``_Step``)."""
+    """The steps of the letters + and -, in this order (that of their codes;
+    see ``_Step``): rows, fences and the poset test read edges only here."""
     pos = {v: i for i, v in enumerate(g.vertices)}
     plus = [1 << i for i in range(len(pos))]
     minus = plus[:]
@@ -167,12 +167,11 @@ def distance_matrix(g: ReflexiveDigraph) -> DistanceMatrix:
     steps = _steps(g)
     rows = tuple(tuple(_distances_from(steps, ix))
                  for ix in range(len(g.vertices)))
-    # involution symmetry is checked on the computed entries, not derived
-    n, inv = len(g.vertices), PLUS_MINUS.involute
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sort_codes(map(inv, rows[j][i].generators)) != list(rows[i][j].generators):
-                raise AssertionError("asymmetric distance entries: engine bug")
+    # involution symmetry is checked on the computed entries, as sets of codes
+    inv = PLUS_MINUS.involute
+    if any(set(map(inv, rows[j][i].generators)) != set(rows[i][j].generators)
+           for i, j in combinations(range(len(rows)), 2)):
+        raise AssertionError("asymmetric distance entries: engine bug")
     return DistanceMatrix(g.vertices, rows)
 
 
@@ -225,12 +224,11 @@ def graph_from_matrix(m: DistanceMatrix) -> ReflexiveDigraph:
     return ReflexiveDigraph.of(m.vertices, edges)
 
 
-def _is_poset(g: ReflexiveDigraph) -> bool:
-    e = g.edges
-    for a, b in e:
-        if a != b and (b, a) in e:
-            return False
-    return all((a, d) in e for a, b in e for c, d in e if b == c)
+def _is_poset(plus: _Step, minus: _Step) -> bool:
+    """Antisymmetric: i is the only vertex both above and below i.
+    Transitive: one more + step from the up-set of i stays inside it."""
+    return all(up & down == 1 << i and plus[up] == up
+               for i, (up, down) in enumerate(zip(plus.near, minus.near)))
 
 
 def fence_distance(g: ReflexiveDigraph, x: str, y: str
@@ -240,40 +238,30 @@ def fence_distance(g: ReflexiveDigraph, x: str, y: str
     Returns (n, m): n is the length of the shortest word shaped +-+-... in
     d(x,y) and m the shortest shaped -+-+...; None encodes that no such word
     exists.  Lengths count letters (steps), so the 2-chain gives (1, 2).
-    """
-    if not _is_poset(g):
-        raise ValueError("fence distance needs a reflexive poset digraph")
-    g._index(x)
-    g._index(y)
-    if x == y:
-        return 0, 0
-    step: dict[str, dict[str, list[str]]] = {
-        a: {v: [] for v in g.vertices} for a in "+-"}
-    for a, b in g.edges:
-        step["+"][a].append(b)
-        step["-"][b].append(a)
-    flip = {"+": "-", "-": "+"}
 
-    def shortest(first: str) -> Optional[int]:
-        # BFS over (vertex, next letter): the word read so far alternates
-        seen = {(x, first)}
-        frontier = [(x, first)]
-        length = 0
-        while frontier:
+    The reach mask of an alternating word applies the two step maps in turn
+    to {x}.  Loops make it grow, so once two letters in a row add no vertex
+    it is fixed, and a y outside it is never reached.
+    """
+    plus, minus = _steps(g)
+    if not _is_poset(plus, minus):
+        raise ValueError("fence distance needs a reflexive poset digraph")
+    ix, iy = g._index(x), g._index(y)
+    if ix == iy:
+        return 0, 0
+
+    def shortest(step: _Step, other: _Step) -> Optional[int]:
+        reach, length, idle = 1 << ix, 0, 0
+        while idle < 2:
+            grown = step[reach]
             length += 1
-            nxt = []
-            for v, letter in frontier:
-                for w in step[letter][v]:
-                    if w == y:
-                        return length
-                    state = (w, flip[letter])
-                    if state not in seen:
-                        seen.add(state)
-                        nxt.append(state)
-            frontier = nxt
+            if grown >> iy & 1:
+                return length
+            idle = idle + 1 if grown == reach else 0
+            reach, step, other = grown, other, step
         return None
 
-    return shortest("+"), shortest("-")
+    return shortest(plus, minus), shortest(minus, plus)
 
 
 def oriented_embeddable(g: ReflexiveDigraph) -> tuple[bool, Optional[tuple]]:

@@ -185,6 +185,21 @@ def test_eqv_commands(tmp_path, capsys):
     assert code == 0 and "size: 3" in out
 
 
+def test_eqv_extend_rejects_points_outside_the_carrier(tmp_path, capsys):
+    # the point named is the same wherever in the map it stands
+    system = {"carrier": [0, 1, 2, 3, 4, 5],
+              "relations": [[[0, 2, 4], [1, 3, 5]], [[0, 3], [1, 4], [2, 5]]]}
+    for m, z in (([[1, "u"], [0, 0], [3, 1]], 5),
+                 ([[0, 0], [3, 1], [1, "u"]], 5),
+                 ([["u", 0], [0, 0]], 5),
+                 ([[0, 0]], "u")):
+        path = write(tmp_path, "ext.json", {**system, "map": m, "z": z})
+        code = dispatch(["eqv", "extend", path])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "") and err == (
+            "error: point 'u' is not in the carrier\n"), (m, z, err)
+
+
 def test_semirigid_commands(tmp_path, capsys):
     code, out = run(capsys, "semirigid", "zadori", "6", "--check")
     assert code == 0 and "semirigid: true" in out

@@ -36,6 +36,10 @@ INVOLUTIVE_FOUR = {
 Z6 = {"carrier": [0, 1, 2, 3, 4, 5],
       "relations": [[[0, 2, 4], [1, 3, 5]], [[0, 3], [1, 4], [2, 5]]]}
 M3 = [[[0, 1], [2, 3]], [[0, 2], [1, 3]], [[0, 3], [1, 2]]]
+# the two coordinate kernels on the pairs over {0, 1}
+PAIRS2 = {"carrier": [[0, 0], [0, 1], [1, 0], [1, 1]],
+          "relations": [[[[0, 0], [0, 1]], [[1, 0], [1, 1]]],
+                        [[[0, 0], [1, 0]], [[0, 1], [1, 1]]]]}
 AFFINE = [[[x, y], [1 + 3 * x, 2 + 3 * y]]
           for x in range(-2, 3) for y in range(-2, 3)]
 
@@ -57,6 +61,9 @@ INPUTS = {
     "crt_bad": {**Z6, "constraints": [[0, 0], [1, 0]]},
     "extend": {**Z6, "map": [[0, 0], [1, 1]], "z": 5},
     "extend_bad": {**Z6, "map": [[0, 0], [2, 1]], "z": 5},
+    "crt_pairs": {**PAIRS2, "constraints": [[[0, 1], 0], [[1, 0], 1]]},
+    "extend_pairs": {**PAIRS2, "map": [[[0, 0], [1, 0]], [[0, 1], [1, 1]]],
+                     "z": [1, 0]},
     "pairs": [[0, 1], [3, 7]],
     "pairs_bad": [[0, 0], [1, 2], [2, 1]],
     "affine": {"dimension": 2, "window": [[-2, 2], [-2, 2]], "values": AFFINE},
@@ -102,6 +109,9 @@ ARGVS = [
     ["eqv", "crt", "@z6"],
     ["eqv", "extend", "@extend"],
     ["eqv", "extend", "@extend_bad"],
+    ["eqv", "arithmetical", "@crt_pairs"],
+    ["eqv", "crt", "@crt_pairs"],
+    ["eqv", "extend", "@extend_pairs"],
     ["eqv", "orthogonal", "4"],
     ["eqv", "orthogonal", "4", "--block-size", "2"],
     ["eqv", "orthogonal", "0"],

@@ -265,6 +265,28 @@ def test_kaarli_random_extensions_reverify():
         done += 1
 
 
+def preserves_by_pairs(f, rho):
+    """Oracle: related arguments in the domain, pair by pair, have related
+    images."""
+    dom = [x for x in rho.carrier if x in f]
+    return all(rho.same(f[x], f[y]) for x in dom for y in dom if rho.same(x, y))
+
+
+def test_preservation_matches_pair_scan_on_random_partial_maps():
+    rng = random.Random(34)
+    carrier = tuple(range(7))
+    verdicts = set()
+    for _ in range(2000):
+        rho = random_partition(rng, carrier)
+        dom = rng.sample(carrier, rng.randint(0, 7))
+        # a point outside the carrier is ignored, whatever its image
+        f = {x: rng.choice(carrier) for x in dom + [rng.choice(["u", 9])]}
+        got = preserves_partition(f, rho)
+        assert got == preserves_by_pairs(f, rho)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def test_ultrametric_examples():
     sys1 = EquivSystem.of((0, 1), [[[0], [1]]])
     space, sep = ultrametric_from_system(sys1)

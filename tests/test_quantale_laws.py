@@ -1,6 +1,7 @@
 """The quantale laws, one body for every carrier: the stock tables checked
-exhaustively, and the final-segment quantale on random triples, both read
-only through the operations of the `_orders` protocol."""
+exhaustively, a non-commutative table of cut final segments, and the
+final-segment quantale on random triples, all read only through the
+operations of the `_orders` protocol."""
 import itertools
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from gmspace._orders import NotResiduated, canonical_distance, least_of
 from gmspace.segments import SEGMENTS, FinalSegment
 from gmspace.spaces import MonoidTable
-from gmspace.words import PLUS_MINUS
+from gmspace.words import PLUS_MINUS, all_words
 
 TABLES = {
     "chain3": MonoidTable.chain(3),
@@ -73,6 +74,38 @@ def test_table_laws_exhaustively(name):
     assert heyting == (name != "involutive_four")
     for a, b, c in itertools.product(q.elements, repeat=3):
         check_laws(q, q.zero, heyting, a, b, c)
+
+
+def truncated_segments(k):
+    """T_k: the final segments of +- words cut to the words of length <= k,
+    in reverse inclusion.  Cutting keeps the generators of length <= k, and
+    it commutes with unions, with the involution and with the upward
+    closure of a concatenation, so the cut of oplus is the operation."""
+    words = list(all_words(PLUS_MINUS, k))
+    elements = list(dict.fromkeys(
+        FinalSegment.of(PLUS_MINUS, ws) for r in range(len(words) + 1)
+        for ws in itertools.combinations(words, r)))
+
+    def cut(s):
+        return FinalSegment(PLUS_MINUS, tuple(g for g in s.generators
+                                              if len(g) <= k))
+
+    return MonoidTable(
+        elements, [(a, b) for a in elements for b in elements if a.leq(b)],
+        {(a, b): cut(a.oplus(b)) for a in elements for b in elements},
+        {a: a.involute() for a in elements}, FinalSegment.zero(PLUS_MINUS))
+
+
+def test_cut_segment_table_separates_left_and_right_residuals():
+    # every stock table is commutative; on T_2 a residual taken on the wrong
+    # side breaks the adjunction law for some c
+    q = truncated_segments(2)
+    assert len(q.elements) == 22 and q.is_heyting()
+    pairs = list(itertools.product(q.elements, repeat=2))
+    assert sum(q.residual(a, b, "right") != q.residual(a, b, "left")
+               for a, b in pairs) == 38
+    for (a, b), c in itertools.product(pairs, q.elements[::5]):
+        check_laws(q, q.zero, True, a, b, c)
 
 
 @settings(max_examples=1000, deadline=None)

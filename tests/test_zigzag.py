@@ -328,13 +328,41 @@ def random_fence(rng, n):
     return ReflexiveDigraph.of(vs, edges)
 
 
+def is_poset_by_pairs(g):
+    """Oracle: antisymmetry and transitivity scanned over pairs of edges."""
+    e = g.edges
+    if any(a != b and (b, a) in e for a, b in e):
+        return False
+    return all((a, d) in e for a, b in e for c, d in e if b == c)
+
+
 def test_fence_bfs_matches_acceptor():
+    # random posets and fences, each also with one edge doubled back (never
+    # antisymmetric), and random digraphs (mostly not transitive): the poset
+    # test agrees with the pair scan, and on posets every fence distance
+    # agrees with the acceptor
     rng = random.Random(23)
+    kinds = set()
     for trial in range(120):
         n = rng.randint(1, 7)
         g = random_poset(rng, n) if trial % 2 else random_fence(rng, n)
-        for x, y in product(g.vertices, repeat=2):
-            assert fence_distance(g, x, y) == fence_by_acceptor(g, x, y)
+        variants = [g, random_digraph(rng, max_n=5)]
+        proper = sorted(e for e in g.edges if e[0] != e[1])
+        if proper:
+            a, b = rng.choice(proper)
+            variants.append(ReflexiveDigraph.of(g.vertices, g.edges | {(b, a)}))
+        for h in variants:
+            poset = is_poset_by_pairs(h)
+            kinds.add(poset)
+            for x, y in product(h.vertices, repeat=2):
+                if poset:
+                    assert fence_distance(h, x, y) == fence_by_acceptor(h, x, y)
+                else:
+                    with pytest.raises(ValueError, match="poset"):
+                        fence_distance(h, x, y)
+        with pytest.raises(ValueError, match="unknown vertex"):
+            fence_distance(g, g.vertices[0], "zz")
+    assert kinds == {True, False}
 
 
 def test_embeddable_examples():
