@@ -13,7 +13,7 @@ elements); `segments.SEGMENTS` binds the final-segment quantale's."""
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Collection, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -108,20 +108,18 @@ def axiom_violations(points: Sequence, rows: Sequence[Sequence], q,
     return bad
 
 
-def is_helly(sets: Collection[frozenset], points: Sequence) -> bool:
-    """Every pairwise-intersecting subfamily of the nonempty subsets `sets`
-    of `points` has a common point.  By Berge and Duchet (1975), exactly
-    when for every three points the members holding at least two of them
-    have a common point (all of `points` when no member does)."""
-    ground = frozenset(points)
-    for a, b, c in itertools.combinations(points, 3):
-        common = ground
-        for s in sets:
-            if (a in s) + (b in s) + (c in s) >= 2:
-                common &= s
-        if not common:
-            return False
-    return True
+def is_helly(masks: Iterable[int], n: int) -> bool:
+    """Every pairwise-intersecting subfamily of the point bitmasks `masks`
+    over 0..n-1 has a common point.  By Berge and Duchet (1975), exactly when
+    for every three points the members holding two of them have a common
+    point: pair[a][b] & pair[a][c] & pair[b][c], where pair[a][b] is the
+    meet of the members holding a and b (all points when none does)."""
+    pair = [[(1 << n) - 1] * n for _ in range(n)]
+    for s in masks:
+        for a, b in itertools.combinations(members(s), 2):
+            pair[a][b] &= s
+    return all(pair[a][b] & pair[a][c] & pair[b][c]
+               for a, b, c in itertools.combinations(range(n), 3))
 
 
 def first_map(domains: Sequence[int], allowed: Sequence[Sequence[dict]], *,

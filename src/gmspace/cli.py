@@ -48,6 +48,11 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+# zcong size guards (exit 3): lcm(1..n) has about 0.43n digits, below the
+# 4,300 that Python prints; a check up to degree 50 takes under a second
+ZCONG_MAX_N = 5000
+ZCONG_MAX_DEGREE = 50
+
 _TERM = re.compile(
     r"^([+-]?)\s*(\d+(?:/\d+)?)?\s*\*?\s*"
     r"(?:(x)(?:\^(\d+))?|C\(\s*x\s*,\s*(\d+)\s*\))?"
@@ -84,6 +89,9 @@ def parse_poly(text: str) -> IntPoly:
             power[k] = power.get(k, Fraction(0)) + coef
         else:  # constant
             power[0] = power.get(0, Fraction(0)) + coef
+    degree = max([*power, *binom, 0])
+    if degree > ZCONG_MAX_DEGREE:
+        raise SizeGuard(f"degree {degree} exceeds the guard {ZCONG_MAX_DEGREE}")
     std = [Fraction(0)] * (max(power, default=0) + 1)
     for k, c in power.items():
         std[k] = c
@@ -229,6 +237,8 @@ def _zcong_check(args):
 
 
 def _zcong_gen(args):
+    if args.n > ZCONG_MAX_N:
+        raise SizeGuard(f"n = {args.n} exceeds the guard {ZCONG_MAX_N}")
     return {"binomial_coefficients": list(zcong.cgg_generator(args.n).coeffs),
             "lcm": zcong.lcm_upto(args.n)}, 0
 
@@ -414,3 +424,7 @@ def dispatch(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -311,6 +311,12 @@ def band_truncation(x_range: tuple[int, int]) -> tuple[Point, ...]:
     return tuple(sorted(pts))
 
 
+def _signatures(pts, rels) -> tuple[list, list]:
+    """Per point its block sizes, and per pair of points the relations relating them."""
+    return ([tuple(len(r.block_of(x)) for r in rels) for x in pts],
+            [[tuple(r.same(x, z) for r in rels) for z in pts] for x in pts])
+
+
 def system_isomorphism(a: EquivSystem, b: EquivSystem) -> Optional[dict]:
     """A carrier bijection carrying the relations of one system onto the
     other's, in some relation order; None when none exists.  For each order
@@ -321,13 +327,9 @@ def system_isomorphism(a: EquivSystem, b: EquivSystem) -> Optional[dict]:
             sorted(sorted(map(len, r.blocks)) for r in a.relations) != \
             sorted(sorted(map(len, r.blocks)) for r in b.relations):
         return None
+    size_a, sig_a = _signatures(a.carrier, a.relations)
     for perm in itertools.permutations(b.relations):
-        # per system, each point's block sizes and, for each pair of points,
-        # the relations relating them
-        (size_a, sig_a), (size_b, sig_b) = [
-            ([tuple(len(r.block_of(x)) for r in rels) for x in pts],
-             [[tuple(r.same(x, z) for r in rels) for z in pts] for x in pts])
-            for pts, rels in ((a.carrier, a.relations), (b.carrier, perm))]
+        size_b, sig_b = _signatures(b.carrier, perm)
         images = [{} for _ in range(n)]  # y -> signature -> mask of w != y
         for y, w in itertools.permutations(range(n), 2):
             images[y][sig_b[y][w]] = images[y].get(sig_b[y][w], 0) | 1 << w

@@ -28,17 +28,19 @@ class MonoidTable:
         elems = set(self.elements)
         if len(elems) != len(self.elements):
             raise ValueError("duplicate monoid elements")
-        self._leq = {(a, a) for a in self.elements} | set(map(tuple, leq_pairs))
+        pairs = list(map(tuple, leq_pairs))
+        self._leq = {(a, a) for a in self.elements} | set(pairs)
         self._oplus = dict(oplus)
         self._inv = dict(involution)
         self.zero = zero
-        self._validate(elems)
+        self._validate(elems, pairs)
 
-    def _validate(self, elems):
-        for a, b in self._leq:
+    def _validate(self, elems, pairs):
+        """Names the first violating pair in the order given."""
+        for a, b in pairs:
             if a not in elems or b not in elems:
                 raise ValueError(f"order pair {(a, b)!r} uses unknown elements")
-        for a, b in self._leq:
+        for a, b in pairs:
             if a != b and (b, a) in self._leq:
                 raise ValueError(f"order is not antisymmetric at {(a, b)!r}")
             for c in self.elements:
@@ -258,13 +260,17 @@ class FiniteGms:
                 into[z][r] |= 1 << x
         return rows, out, into
 
-    def ball(self, x, r) -> frozenset:
+    def _index(self, x) -> int:
         if x not in self.points:
             raise ValueError(f"ball center {x!r} is not a point of the space")
+        return self.points.index(x)
+
+    def ball(self, x, r) -> frozenset:
+        i = self._index(x)
         if r not in self.monoid.elements:
             raise ValueError(f"ball radius {r!r} is not a monoid element")
         _, out, _ = self._balls
-        mask = out[self.points.index(x)][self.monoid.elements.index(r)]
+        mask = out[i][self.monoid.elements.index(r)]
         return frozenset(self.points[z] for z in members(mask))
 
     def is_convex(self) -> bool:
@@ -279,15 +285,12 @@ class FiniteGms:
                     return False
         return True
 
-    def _ball_sets(self) -> set[frozenset]:
-        return {self.ball(x, r) for x in self.points for r in self.monoid.elements}
-
     def is_2helly(self) -> bool:
         """Every pairwise-intersecting family of balls has a common point
         (`_orders.is_helly`, the Berge-Duchet triple test, on the distinct
-        balls)."""
+        ball bitmasks)."""
         self._require_axioms()
-        return is_helly(self._ball_sets(), self.points)
+        return is_helly({b for row in self._balls[1] for b in row}, len(self.points))
 
     def is_hyperconvex(self) -> bool:
         """Convexity plus the 2-Helly property (the tests compare it with a
@@ -301,11 +304,13 @@ class FiniteGms:
     def radius(self, subset: Iterable):
         """Least radius r with the subset inside B(x, r) for some center x
         drawn from the subset itself."""
-        pts = list(subset)
+        pts = [self._index(x) for x in subset]
         if not pts:
             raise ValueError("radius needs a nonempty subset")
-        candidates = [r for r in self.monoid.elements
-                      if any(self.ball(x, r).issuperset(pts) for x in pts)]
+        _, out, _ = self._balls
+        want = sum(1 << i for i in set(pts))
+        candidates = [r for a, r in enumerate(self.monoid.elements)
+                      if any(out[i][a] & want == want for i in pts)]
         if not candidates:
             raise MissingJoin("no radius covers the subset from inside")
         return self.monoid.meet(*candidates)
@@ -319,13 +324,12 @@ class FiniteGms:
     def ball_intersections(self) -> set[frozenset]:
         """All intersections of families of closed balls (the empty family
         contributes the whole point set)."""
-        sets = self._ball_sets() | {frozenset(self.points)}
-        frontier = set(sets)
+        balls = {b for row in self._balls[1] for b in row}
+        masks = frontier = balls | {(1 << len(self.points)) - 1}
         while frontier:
-            nxt = {a & b for a in frontier for b in sets} - sets
-            sets |= nxt
-            frontier = nxt
-        return sets
+            frontier = {a & b for a in frontier for b in balls} - masks
+            masks = masks | frontier
+        return {frozenset(self.points[z] for z in members(m)) for m in masks}
 
     def has_normal_structure(self) -> bool:
         """No ball intersection other than a singleton is equally centered."""

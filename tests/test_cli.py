@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gmspace
-from gmspace import _orders, automata, partitions, zcong
+from gmspace import _orders, automata, cli, partitions, zcong
 from gmspace.cli import InputError, dispatch, parse_poly
 from gmspace.spaces import FiniteGms
 from gmspace.zcong import IntPoly
@@ -234,6 +234,48 @@ def test_semirigid_witness_does_not_depend_on_hash_seed(tmp_path):
     assert len(reports) == 1
 
 
+def cli_module(*argv, seed="0"):
+    """Run `python -m gmspace.cli` on argv under a fixed hash seed."""
+    src = str(Path(gmspace.__file__).parent.parent)
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "gmspace.cli", *argv],
+                          capture_output=True, text=True, env=env, check=False)
+
+
+def test_cli_module_runs_as_a_script():
+    proc = cli_module("--json", "zcong", "gen", "4")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["command"] == "zcong gen"
+    assert report["result"] == {"binomial_coefficients": [0, 0, 0, 0, 12],
+                                "lcm": 12}
+
+
+def test_order_error_names_the_first_violating_pair(tmp_path):
+    # a <= b <= a and c <= d <= c: the pairs are walked in the order given,
+    # whatever the hash seed
+    elems = ["a", "b", "c", "d", "e"]
+    space = {"points": ["a"], "dist": [["a"]],
+             "monoid": {"elements": elems, "zero": "e", "oplus": [],
+                        "leq": [["a", "b"], ["b", "a"], ["c", "d"], ["d", "c"]],
+                        "involution": [[x, x] for x in elems]}}
+    path = write(tmp_path, "space.json", space)
+    for seed in ("0", "1", "2", "3"):
+        proc = cli_module("gms", "check", path, seed=seed)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (2, "", "error: order is not antisymmetric at ('a', 'b')\n"), seed
+
+
+def test_zcong_guards_admit_their_bounds(capsys):
+    n, degree = cli.ZCONG_MAX_N, cli.ZCONG_MAX_DEGREE
+    code, out = run(capsys, "--json", "zcong", "gen", str(n))
+    assert code == 0
+    assert json.loads(out)["result"]["lcm"] == zcong.lcm_upto(n)
+    assert run(capsys, "zcong", "check", f"x^{degree}")[0] == 0
+    code, out = run(capsys, "--json", "zcong", "check", f"C(x,{degree})")
+    assert code == 1 and json.loads(out)["result"]["witness"] == {"k": 2, "x": 48}
+
+
 def test_freemon_commands(tmp_path, capsys):
     path = write(tmp_path, "ac.json", ["+-"])
     code, out = run(capsys, "freemon", "factor", path)
@@ -313,6 +355,10 @@ GUARDED = [
                       "dist": [[int(a != b) for b in NINE] for a in NINE]}),
     (("semirigid", "check"), {"carrier": list(range(13)),
                               "relations": [[[i] for i in range(13)]]}),
+    (("zcong", "gen", "5001"), None),
+    (("zcong", "gen", "10000"), None),
+    (("zcong", "check", "C(x,51)"), None),
+    (("zcong", "check", "x^3000 - x"), None),
 ]
 
 

@@ -124,6 +124,8 @@ ARGVS = [
     ["zcong", "extend", "@pairs_bad", "5"],
     ["zcong", "affine", "@affine"],
     ["zcong", "affine", "@swapped"],
+    ["zcong", "gen", "5001"],
+    ["zcong", "check", "C(x,51)"],
     ["semirigid", "check", "@discrete3"],
     ["semirigid", "check", "@pairs3"],
     ["semirigid", "check", "@letters"],

@@ -35,6 +35,20 @@ def test_monoid_validation():
     assert chain.join() == 0 and chain.meet(*chain.elements) == 0
 
 
+def test_order_errors_follow_the_given_pairs():
+    """The first violating pair in the given order is named, whatever the
+    iteration order of a set of them."""
+    elems = ["a", "b", "c", "d", "e"]
+    def table(pairs):
+        return MonoidTable(elems, pairs, {}, {x: x for x in elems}, "e")
+    for pairs, named in (([("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")], "('a', 'b')"),
+                         ([("c", "d"), ("d", "c"), ("a", "b"), ("b", "a")], "('c', 'd')"),
+                         ([("a", "b"), ("a", "z"), ("y", "a")], "('a', 'z')")):
+        with pytest.raises(ValueError) as exc:
+            table(pairs)
+        assert named in str(exc.value)
+
+
 def test_monoid_heyting_flags():
     assert MonoidTable.divisor_lattice(12).is_heyting()
     assert MonoidTable.boolean("ab").is_heyting()
@@ -67,6 +81,10 @@ def test_ball_examples():
         canonical.ball(0, 99)
     with pytest.raises(ValueError, match="center 42"):
         canonical.ball(42, 0)
+    # the empty family of balls contributes the whole point set, here empty
+    empty = FiniteGms([], MonoidTable.chain(1), {})
+    assert empty.ball_intersections() == {frozenset()}
+    assert empty.is_2helly() and empty.has_normal_structure()
 
 
 def test_hyperconvexity_examples():
@@ -114,6 +132,8 @@ def test_diameter_radius_examples():
             space.diameter(pts) == space.monoid.zero
     with pytest.raises(ValueError):
         space.radius([])
+    with pytest.raises(ValueError, match="center 99"):
+        space.radius([1, 99, 2])
 
 
 def test_radius_leq_diameter_on_random_spaces():
@@ -462,15 +482,43 @@ def random_spaces(rng, count):
         yield FiniteGms(pts, mon, dist)
 
 
+def intersections_by_closure(sets):
+    """Oracle: the family closed under pairwise intersection."""
+    closed = set(sets)
+    while True:
+        more = {a & b for a in closed for b in closed} - closed
+        if not more:
+            return closed
+        closed |= more
+
+
+def radius_by_scan(space, pts):
+    """Oracle: the meet of the radii r for which some x in pts has every
+    point of pts within d(x, y) <= r."""
+    m = space.monoid
+    return m.meet(*[r for r in m.elements if any(
+        all(m.leq(space.d(x, y), r) for y in pts) for x in pts)])
+
+
 def test_2helly_matches_maximal_cliques_on_random_spaces():
-    rng = random.Random(26)
+    """On seeded spaces, the Helly test on ball bitmasks against the
+    maximal cliques of the scanned balls; the ball intersections against
+    the closure of the scanned balls and the whole point set; the radius of
+    random subsets against a scan."""
+    rng, pick = random.Random(26), random.Random(29)
     verdicts = []
     for sp in random_spaces(rng, 300):
         balls = {ball_by_scan(sp, x, r) for x in sp.points for r in sp.monoid.elements}
-        assert sp._ball_sets() == balls
+        masks = {sum(1 << sp.points.index(y) for y in b) for b in balls}
         got = sp.is_2helly()
+        assert got == is_helly(masks, len(sp.points))
         assert got == helly_by_cliques(balls, sp.points), (sp.points, sp.dist)
         verdicts.append(got)
+        assert sp.ball_intersections() == \
+            intersections_by_closure(balls | {frozenset(sp.points)})
+        for _ in range(10):
+            pts = pick.sample(sp.points, pick.randint(1, len(sp.points)))
+            assert sp.radius(pts) == radius_by_scan(sp, pts), (sp.dist, pts)
     assert any(verdicts) and not all(verdicts)
 
 
@@ -493,7 +541,7 @@ def test_helly_triple_test_matches_maximal_cliques_on_random_families():
         points = list(range(rng.randint(1, 6)))
         sets = {frozenset(rng.sample(points, rng.randint(1, len(points))))
                 for _ in range(rng.randint(1, 8))}
-        got = is_helly(sets, points)
+        got = is_helly({sum(1 << p for p in s) for s in sets}, len(points))
         assert got == helly_by_cliques(sets, points), (sets, points)
         verdicts.append(got)
     assert any(verdicts) and not all(verdicts)
